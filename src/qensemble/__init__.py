@@ -2,9 +2,10 @@
 
 import os as _os
 
-# QENSEMBLE_THREADS caps the BLAS fan-out used by the dense phase matrices;
-# it must be applied before numpy loads its backend, hence here.  0 or unset
-# leaves the backend default.  Explicit backend variables win.
+# QENSEMBLE_THREADS caps the BLAS fan-out of the remaining dense matrix
+# products (radial synthesis and the well exterior); it must be applied
+# before numpy loads its backend, hence here.  0 or unset leaves the
+# backend default.  Explicit backend variables win.
 _threads = _os.environ.get("QENSEMBLE_THREADS", "0")
 if _threads.isdigit() and _threads != "0":
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):

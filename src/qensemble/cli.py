@@ -322,6 +322,8 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
     grid = Grid1D(params["x_min"], params["x_max"], params["n_x"])
     x = grid.points()
     times = params["times"]
+    if not np.all(np.isfinite(times)):
+        raise _CliError(f"parameter 'times' must be finite, got {times}")
     n_k = params["n_k"] if params["n_k"] > 0 else None
     res = ScenarioResult(geometry="1d_line")
     res.columns.append(("x", "length", list(x)))
@@ -332,7 +334,8 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
         for t in times:
             dens = propagate(packet, t, grid, law, n_k=n_k).density()
             res.columns.append((f"density_gaussian[t={t:g}]", "1/length", list(dens)))
-            ref = closed_form_density(packet, x, t, law, mode="textbook")
+            # the symmetric Fourier normalization puts 1/b^2 on the unit-peak form
+            ref = closed_form_density(packet, x, t, law, mode="textbook") / packet.b**2
             mask = ref >= 1e-8 * float(ref.max())
             worst = max(worst, float(np.abs((dens[mask] - ref[mask]) / ref[mask]).max()))
         res.oracle_deltas["gaussian_vs_closed_form"] = (worst, 1e-4, "relative")

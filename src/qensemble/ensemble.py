@@ -30,6 +30,7 @@ from .numerics import (
     KBall,
     SingleMode,
     _as_odd,
+    _spectral_nodes,
     integrate_real,
     line_superposition,
     radial_superposition,
@@ -369,7 +370,7 @@ def uncertainty_product(
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ValueError("interval must be finite with k_hi > k_lo")
-    k = np.linspace(lo, hi, _as_odd(n_k))
+    k = _spectral_nodes(lo, hi, n_k)
     amp = np.asarray(amplitude(k), dtype=np.complex128)
     if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
         raise ValueError("spectrum must be finite on the interval")

@@ -131,6 +131,49 @@ def _simpson_weights(n: int, h: float) -> ArrayF:
     return w
 
 
+def _spectral_nodes(lo: float, hi: float, n_k: int) -> ArrayF:
+    """Odd count of uniform quadrature nodes on [lo, hi], at least 3."""
+    if n_k < 2:
+        raise ValueError("spectral quadrature needs at least 2 nodes")
+    return np.linspace(lo, hi, _as_odd(n_k))
+
+
+def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
+    """Sum_m wts[m] exp(i x_j (k_lo + m dk)) at every node x_j of a uniform x.
+
+    Bluestein's chirp-z algorithm: with x_j = x0 + j dx and alpha = dx dk,
+    the cross term exp(i alpha j m) splits into chirps in j and m around
+    the convolution with exp(-i alpha (j - m)^2 / 2), done by FFT at the
+    next power of two >= n_x + n_k - 1.  The cost is
+    O((n_x + n_k) log(n_x + n_k)) instead of a dense n_x * n_k phase
+    matrix; phases are built from exact integer index squares.
+
+    x0 and dx come from the ends of x, which must be uniform to 1e-12
+    relative (a scalar or one node counts as uniform); a non-uniform x
+    raises ValueError.
+    """
+    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    w = np.asarray(wts, dtype=np.complex128)
+    n_x, n_k = x_arr.size, w.size
+    x0 = x_arr[0]
+    dx = (x_arr[-1] - x0) / (n_x - 1) if n_x > 1 else 0.0
+    j = np.arange(n_x)
+    if np.abs(x_arr - (x0 + j * dx)).max() > 1e-12 * np.abs(x_arr).max():
+        raise ValueError("chirp-z synthesis needs uniformly spaced x")
+    half_alpha = 0.5 * dx * dk
+    m = np.arange(n_k)
+    lag = np.arange(-(n_k - 1), n_x)
+    lag_chirp = np.exp(-1j * half_alpha * (lag * lag))
+    size = 1 << (n_x + n_k - 2).bit_length()
+    pre = w * np.exp(1j * (x0 * dk * m + half_alpha * (m * m)))
+    # circular layout: lags 0..n_x-1 at the front, negative lags at the back
+    chirp = np.zeros(size, dtype=np.complex128)
+    chirp[:n_x] = lag_chirp[n_k - 1 :]
+    chirp[size - n_k + 1 :] = lag_chirp[: n_k - 1]
+    conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp))[:n_x]
+    return np.exp(1j * (x_arr * k_lo + half_alpha * (j * j))) * conv
+
+
 def integrate_1d(field: ComplexField) -> complex:
     """Integrate a sampled field over its grid by composite Simpson.
 
@@ -246,7 +289,8 @@ def line_superposition(
     """1-D Fourier synthesis over a wavenumber interval.
 
     Evaluates (2*pi)**(-1/2) * int_{k_lo}^{k_hi} chi(k) exp(i k x) dk,
-    vectorized over x.
+    vectorized over x.  x must be a scalar or uniformly spaced (see
+    _synthesize); other x raise ValueError.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     lo, hi = _interval_bounds(interval)
@@ -258,15 +302,10 @@ def line_superposition(
         return pref * np.exp(1j * k0 * x_arr)
     if hi == lo:
         return np.zeros(x_arr.shape, dtype=np.complex128)
-    k = np.linspace(lo, hi, _as_odd(n_k))
+    k = _spectral_nodes(lo, hi, n_k)
+    dk = k[1] - k[0]
     amp = np.asarray(amplitude(k), dtype=np.complex128)
-    wts = _simpson_weights(k.size, k[1] - k[0]) * amp
-    out = np.empty(x_arr.shape, dtype=np.complex128)
-    chunk = max(1, 2_000_000 // k.size)
-    for i in range(0, x_arr.size, chunk):
-        phases = np.exp(1j * np.outer(x_arr[i : i + chunk], k))
-        out[i : i + chunk] = pref * (phases @ wts)
-    return out
+    return pref * _synthesize(_simpson_weights(k.size, dk) * amp, lo, dk, x_arr)
 
 
 def superpose(amplitude: Amplitude, domain, x: float, dimension: int, n_k: int = 2001) -> complex:

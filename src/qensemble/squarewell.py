@@ -25,6 +25,8 @@ from .numerics import (
     Grid1D,
     _as_odd,
     _simpson_weights,
+    _spectral_nodes,
+    _synthesize,
     integrate_real,
 )
 
@@ -185,11 +187,14 @@ def well_ensemble_density(
     rho = np.zeros(x.shape)
 
     # interior branch
-    k1 = np.linspace(0.0, cfg.k0, _as_odd(n_k))
-    w1 = _simpson_weights(k1.size, k1[1] - k1[0])
+    k1 = _spectral_nodes(0.0, cfg.k0, n_k)
+    dk1 = k1[1] - k1[0]
+    w1 = _simpson_weights(k1.size, dk1)
     k2_of_k1 = np.sqrt(cfg.pair_constant - k1 * k1)
     cos_wall = np.cos(k1 * x0)
     keep = np.abs(cos_wall) >= resonance_tol
+    if not np.any(keep):
+        raise ValueError("resonance_tol excludes every interior member")
     excluded_measure = float(np.sum(w1[~keep]))
     excluded_count = int(np.count_nonzero(~keep))
     # member amplitude squared times its interior envelope, combined in one
@@ -198,11 +203,14 @@ def well_ensemble_density(
     scale_in = np.where(keep, m * k2_of_k1 / (1.0 + k2_of_k1 * x0), 0.0)
     inner = ax <= x0
     if np.any(inner):
-        cos_sq = np.cos(np.outer(ax[inner], k1)) ** 2
-        rho[inner] = cos_sq @ (w1 * scale_in)
+        # cos^2(k x) = (1 + Re e^{2ikx}) / 2 over the contiguous run of inner
+        # nodes, which is uniform (cos^2 is even, so x serves for |x|)
+        wts = w1 * scale_in
+        doubled = _synthesize(wts, 0.0, 2.0 * dk1, x[inner])
+        rho[inner] = 0.5 * (np.sum(wts) + doubled.real)
 
     # exterior branch
-    k2 = np.linspace(0.0, cfg.k0_prime, _as_odd(n_k))
+    k2 = _spectral_nodes(0.0, cfg.k0_prime, n_k)
     w2 = _simpson_weights(k2.size, k2[1] - k2[0])
     k1_of_k2 = np.sqrt(cfg.pair_constant - k2 * k2)
     scale_out = m * k2 / (1.0 + k2 * x0) * np.cos(k1_of_k2 * x0) ** 2

@@ -27,6 +27,8 @@ from .numerics import (
     SingleMode,
     _as_odd,
     _simpson_weights,
+    _spectral_nodes,
+    _synthesize,
 )
 
 # Multiplies every dispersion evaluation; self checks corrupt it to prove
@@ -133,15 +135,10 @@ def propagate(
     spec = packet_spectrum(packet)
     lo, hi = spectral_window(packet)
     n = n_k if n_k is not None else _auto_nodes(packet, t, grid, disp)
-    k = np.linspace(lo, hi, _as_odd(n))
-    wts = _simpson_weights(k.size, k[1] - k[0]) * spec(k) * np.exp(-1j * disp.omega(k) * t)
-    out = np.empty(x.shape, dtype=np.complex128)
-    chunk = max(1, 2_000_000 // k.size)
-    pref = (2.0 * np.pi) ** -0.5
-    for i in range(0, x.size, chunk):
-        phases = np.exp(1j * np.outer(x[i : i + chunk], k))
-        out[i : i + chunk] = pref * (phases @ wts)
-    return ComplexField(grid, out)
+    k = _spectral_nodes(lo, hi, n)
+    dk = k[1] - k[0]
+    wts = _simpson_weights(k.size, dk) * spec(k) * np.exp(-1j * disp.omega(k) * t)
+    return ComplexField(grid, (2.0 * np.pi) ** -0.5 * _synthesize(wts, lo, dk, x))
 
 
 def closed_form_density(

@@ -69,6 +69,24 @@ class TestValidationPaths:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["spread", "--set", "n_k=1"], "needs at least 2 nodes"),
+            (["well", "--set", "n_k=1"], "needs at least 2 nodes"),
+            (["well", "--set", "resonance_tol=2"], "excludes every interior member"),
+            (["spread", "--set", "times=0,nan"], "parameter 'times' must be finite"),
+        ],
+    )
+    def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code, stdout, err = run([*args, "--out", str(out)], capsys)
+        assert code == 1
+        assert message in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert not out.exists()
+
 
 class TestScenarioRuns:
     @pytest.mark.parametrize("scenario", sorted(CHEAP_ARGS))
@@ -89,6 +107,16 @@ class TestScenarioRuns:
         for header in rows[0]:
             assert header.endswith(")") and " (" in header
         assert all(len(r) == len(rows[0]) for r in rows)
+
+    @pytest.mark.parametrize("b", ["2", "0.5"])
+    def test_gaussian_oracle_carries_width_scale(self, b, capsys, tmp_path):
+        code, stdout, _ = run(
+            ["spread", "--set", "packet=gaussian", "--set", f"b={b}", "--out", str(tmp_path / "s.csv")],
+            capsys,
+        )
+        assert code == 0
+        delta = json.loads(stdout)["oracle_deltas"]["gaussian_vs_closed_form"]
+        assert delta["value"] <= 1e-4
 
     def test_json_table_structure(self, capsys, tmp_path):
         out = tmp_path / "well.json"

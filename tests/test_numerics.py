@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate as sci
+from scipy.signal import czt
 
 from qensemble.numerics import (
     ComplexField,
     Grid1D,
     KBall,
     SingleMode,
+    _synthesize,
     integrate_1d,
     integrate_ball,
     integrate_real,
@@ -182,6 +184,69 @@ class TestLineSuperposition:
     def test_empty_interval_gives_zero(self):
         psi = line_superposition(lambda k: np.ones_like(k, dtype=complex), (1.0, 1.0), 0.3)
         assert psi[0] == 0.0
+
+    def test_single_spectral_node_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            line_superposition(lambda k: np.ones_like(k, dtype=complex), (0.0, 1.0), 0.0, n_k=1)
+
+
+class TestSynthesize:
+    """Chirp-z synthesis against the dense phase matrix and scipy's czt."""
+
+    @staticmethod
+    def case(n_x, x_lo, x_hi, n_k, k_lo, k_hi, seed=0):
+        rng = np.random.default_rng(seed)
+        x = np.linspace(x_lo, x_hi, n_x)
+        k = np.linspace(k_lo, k_hi, n_k)
+        w = rng.normal(size=n_k) + 1j * rng.normal(size=n_k)
+        return x, k, w
+
+    @staticmethod
+    def dense(w, k, x):
+        return np.exp(1j * np.outer(x, k)) @ w
+
+    @staticmethod
+    def via_czt(w, k, x):
+        # czt sums w_m z_j^(-m) on z_j = a w^(-j); z_j = exp(-i x_j dk) leaves
+        # the factor exp(i x_j k_lo) outside
+        dk = k[1] - k[0]
+        dx = x[1] - x[0] if x.size > 1 else 0.0
+        pre = czt(w, m=x.size, w=np.exp(1j * dx * dk), a=np.exp(-1j * x[0] * dk))
+        return np.exp(1j * x * k[0]) * pre
+
+    @pytest.mark.parametrize(
+        "n_x,x_lo,x_hi,n_k,k_lo,k_hi",
+        [
+            (1, 0.7, 0.7, 5, -1.0, 2.0),
+            (2, -1.0, 1.0, 3, 0.0, 1.0),
+            (37, -9.0, -3.5, 23, -2.0, 5.0),
+            (3001, -60.0, 60.0, 1601, -20.0, 20.0),
+            (1201, -10.0, 25.0, 4001, -3.0, 13.0),
+        ],
+    )
+    def test_matches_dense_and_czt(self, n_x, x_lo, x_hi, n_k, k_lo, k_hi):
+        x, k, w = self.case(n_x, x_lo, x_hi, n_k, k_lo, k_hi)
+        out = _synthesize(w, k_lo, k[1] - k[0], x)
+        tol = 1e-10 * np.abs(w).sum()
+        assert out.shape == (n_x,)
+        assert np.abs(out - self.dense(w, k, x)).max() <= tol
+        assert np.abs(out - self.via_czt(w, k, x)).max() <= tol
+
+    def test_doubled_frequency_well_interior(self):
+        # cos^2(k x) = (1 + Re e^{2ikx}) / 2 on the inner run of a well grid
+        x = np.linspace(-8.0, 8.0, 1601)
+        inner = x[np.abs(x) <= 1.0]
+        k = np.linspace(0.0, 1.0, 2001)
+        w = np.random.default_rng(1).uniform(0.0, 1.0, k.size)
+        doubled = _synthesize(w, 0.0, 2.0 * (k[1] - k[0]), inner)
+        via_fft = 0.5 * (w.sum() + doubled.real)
+        ref = np.cos(np.outer(inner, k)) ** 2 @ w
+        assert np.abs(via_fft - ref).max() <= 1e-10 * np.abs(w).sum()
+
+    def test_non_uniform_positions_rejected(self):
+        w = np.ones(5, dtype=complex)
+        with pytest.raises(ValueError, match="uniform"):
+            _synthesize(w, 0.0, 0.1, np.array([0.0, 0.1, 0.25, 0.3]))
 
 
 class TestSuperpose:

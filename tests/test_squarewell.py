@@ -148,6 +148,15 @@ class TestEnsembleDensity:
         assert np.all(np.isfinite(profile.values))
         assert abs(integrate_real(profile.values, grid.spacing) - 1.0) <= 1e-8
 
+    def test_excluding_every_interior_member_is_rejected(self):
+        # |cos| <= 1 < 2, so this tolerance would leave the interior empty
+        with pytest.raises(ValueError, match="excludes every interior member"):
+            well_ensemble_density(default_config(), Grid1D(-4.0, 4.0, 201), resonance_tol=2.0)
+
+    def test_single_spectral_node_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            well_ensemble_density(default_config(), Grid1D(-4.0, 4.0, 201), n_k=1)
+
     def test_deep_well_stays_finite(self):
         # raw member amplitudes carry exp(k2 x0) and overflow near k2 = 2000;
         # the density path folds that factor away before exponentiating

@@ -112,6 +112,10 @@ class TestPropagation:
         ref = closed_form_density(packet, grid.points(), t, law, mode="textbook")
         assert np.abs((num - ref) / ref).max() <= 1e-4
 
+    def test_single_spectral_node_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            propagate(GaussianPacket(b=1.0, k0=5.0), 1.0, Grid1D(-4.0, 4.0, 81), n_k=1)
+
 
 class TestClosedForms:
     def test_modes_agree_only_at_rest(self):
