@@ -253,21 +253,25 @@ def potential_wavefunction(
 
     Each node gets an independent radial superposition over the range
     allowed by the local potential: the oscillatory kernel sin(kr)/(kr)
-    where E_T > V, the decaying kernel exp(-kr) where E_T < V.  Nodes are
-    independent, so evaluation order cannot change any value.
+    where E_T > V, the decaying kernel exp(-kr) where E_T < V.  Each maximal
+    run of contiguous nodes sharing one potential value is synthesized in
+    one call, since the oscillatory kernel needs uniformly spaced nodes; a
+    constant potential is one call on the whole grid.
     """
     x = grid.points()
     v_vals = potential(x)
     out = np.zeros(x.shape, dtype=np.complex128)
     for v in np.unique(v_vals):
         rng = allowed_k_range(p, float(v), convention=convention)
-        idx = np.nonzero(v_vals == v)[0]
         if rng.is_empty:
             continue
         chi = member_amplitude(p, rng)
         ball = KBall(rng.k_hi, n_k)
         kernel = "oscillatory" if rng.regime is Regime.OSCILLATORY else "decaying"
-        out[idx] = radial_superposition(chi, ball, x[idx], kernel=kernel)
+        idx = np.nonzero(v_vals == v)[0]
+        for run in np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1):
+            nodes = slice(run[0], run[-1] + 1)
+            out[nodes] = radial_superposition(chi, ball, x[nodes], kernel=kernel)
     return ComplexField(grid, out)
 
 

@@ -10,6 +10,7 @@ count are closed with a one-interval cubic end correction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -174,6 +175,29 @@ def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
     return np.exp(1j * (x_arr * k_lo + half_alpha * (j * j))) * conv
 
 
+def _decay_sum(wts, dk: float, d) -> NDArray:
+    """Sum_m wts[m] exp(-d_j m dk) at every d_j >= 0.
+
+    Baby-step/giant-step split m = b p + s with b = ceil(sqrt(n_k)): the
+    sum is sum_p exp(-d_j b p dk) (baby @ C)[j, p] with baby[j, s] =
+    exp(-d_j s dk) and C[s, p] = wts[b p + s], zero-padded.  That takes
+    about 2 sqrt(n_k) exponentials per d_j instead of n_k, and
+    O(n_d sqrt(n_k)) memory instead of a dense n_d * n_k matrix.  Every
+    factor lies in (0, 1], so no product overflows and each term is
+    accurate to a few ulp.  Unlike _synthesize, d may be any set of
+    points: a real-exponent chirp would be ill-conditioned.
+    """
+    w = np.asarray(wts)
+    step = np.asarray(d, dtype=np.float64)[:, None] * dk
+    b = math.isqrt(w.size - 1) + 1
+    n_p = -(-w.size // b)
+    coef = np.zeros(b * n_p, dtype=w.dtype)
+    coef[: w.size] = w
+    baby = np.exp(-step * np.arange(b))
+    giant = np.exp(-step * (b * np.arange(n_p)))
+    return np.sum(giant * (baby @ coef.reshape(n_p, b).T), axis=1)
+
+
 def integrate_1d(field: ComplexField) -> complex:
     """Integrate a sampled field over its grid by composite Simpson.
 
@@ -230,11 +254,6 @@ def _interval_bounds(domain) -> tuple[float, float]:
     return lo, hi
 
 
-def _unnormalized_sinc(z: ArrayF) -> ArrayF:
-    # sin(z)/z with the limit value 1 at z = 0 (np.sinc carries a pi).
-    return np.sinc(z / np.pi)
-
-
 def radial_superposition(
     amplitude: Amplitude,
     ball: KBall,
@@ -246,38 +265,40 @@ def radial_superposition(
     Evaluates (2*pi)**(-3/2) * 4*pi * int_0^{k_max} k^2 chi(k) K(k, r) dk
     with K = sin(kr)/(kr) for kernel="oscillatory" and K = exp(-k|r|) for
     kernel="decaying".  Vectorized over r; returns an array matching r.
+    The oscillatory kernel runs on the chirp-z synthesis, so r must be a
+    scalar or uniformly spaced (see _synthesize); other r raise ValueError.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if kernel not in ("oscillatory", "decaying"):
         raise ValueError("kernel must be 'oscillatory' or 'decaying'")
-    pref = TWO_PI ** -1.5
+    pref = TWO_PI ** -1.5 * 4.0 * np.pi
     if isinstance(amplitude, SingleMode):
         k0 = amplitude.k0
         if not (0.0 <= k0 <= ball.k_max):
-            out = np.zeros(r_arr.shape, dtype=np.complex128)
-        elif kernel == "oscillatory":
-            out = pref * 4.0 * np.pi * k0 * k0 * _unnormalized_sinc(k0 * r_arr)
-            out = out.astype(np.complex128)
+            return np.zeros(r_arr.shape, dtype=np.complex128)
+        if kernel == "oscillatory":
+            kern = np.sinc(k0 * r_arr / np.pi)  # np.sinc carries a pi
         else:
-            out = pref * 4.0 * np.pi * k0 * k0 * np.exp(-k0 * np.abs(r_arr))
-            out = out.astype(np.complex128)
-        return out
+            kern = np.exp(-k0 * np.abs(r_arr))
+        return (pref * k0 * k0 * kern).astype(np.complex128)
     k = ball.nodes()
     if ball.k_max == 0.0:
         return np.zeros(r_arr.shape, dtype=np.complex128)
+    dk = k[1] - k[0]
     amp = np.asarray(amplitude(k), dtype=np.complex128)
-    w = _simpson_weights(k.size, k[1] - k[0])
-    wts = w * k * k * amp
+    wts = _simpson_weights(k.size, dk) * k * amp
+    if kernel == "decaying":
+        return pref * _decay_sum(wts * k, dk, np.abs(r_arr))
+    # k^2 sin(kr)/(kr) = k Im e^{ikr} / r; the real and imaginary weights go
+    # through separately so that each keeps its own Im, and r = 0 takes the
+    # limit sum_m wts[m] k_m
     out = np.empty(r_arr.shape, dtype=np.complex128)
-    chunk = max(1, 2_000_000 // k.size)
-    for i in range(0, r_arr.size, chunk):
-        rc = r_arr[i : i + chunk]
-        if kernel == "oscillatory":
-            kern = _unnormalized_sinc(np.outer(rc, k))
-        else:
-            kern = np.exp(-np.outer(np.abs(rc), k))
-        out[i : i + chunk] = pref * 4.0 * np.pi * (kern @ wts)
-    return out
+    out.real = _synthesize(wts.real, 0.0, dk, r_arr).imag
+    out.imag = _synthesize(wts.imag, 0.0, dk, r_arr).imag
+    origin = r_arr == 0.0
+    out /= np.where(origin, 1.0, r_arr)
+    out[origin] = np.dot(wts, k)
+    return pref * out
 
 
 def line_superposition(

@@ -24,6 +24,7 @@ from .numerics import (
     ArrayF,
     Grid1D,
     _as_odd,
+    _decay_sum,
     _simpson_weights,
     _spectral_nodes,
     _synthesize,
@@ -83,7 +84,14 @@ def member_amplitude_well(cfg: WellConfig, k1: float, k2: float) -> float:
     m, x0 = cfg.particle.mass, cfg.x0
     if k2 < 0.0:
         raise ValueError("decay constant k2 must be nonnegative")
-    return float(np.sqrt(m * k2 / (1.0 + k2 * x0)) * np.exp(k2 * x0) * np.cos(k1 * x0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = np.sqrt(m * k2 / (1.0 + k2 * x0)) * np.exp(k2 * x0) * np.cos(k1 * x0)
+    if not np.isfinite(amp):
+        raise ValueError(
+            f"member amplitude overflows at k2 x0 = {k2 * x0:.6g}: well depth "
+            f"v0 = {cfg.v0:g} is too deep for half width x0 = {x0:g}"
+        )
+    return float(amp)
 
 
 def pair_member(cfg: WellConfig, k1: float, resonance_tol: float = 1e-6) -> WellMember:
@@ -211,13 +219,14 @@ def well_ensemble_density(
 
     # exterior branch
     k2 = _spectral_nodes(0.0, cfg.k0_prime, n_k)
-    w2 = _simpson_weights(k2.size, k2[1] - k2[0])
+    dk2 = k2[1] - k2[0]
+    w2 = _simpson_weights(k2.size, dk2)
     k1_of_k2 = np.sqrt(cfg.pair_constant - k2 * k2)
     scale_out = m * k2 / (1.0 + k2 * x0) * np.cos(k1_of_k2 * x0) ** 2
     outer = ax > x0
     if np.any(outer):
-        decay = np.exp(-2.0 * np.outer(ax[outer] - x0, k2))
-        rho[outer] = decay @ (w2 * scale_out)
+        # exp(-2 (|x| - x0) k2) summed over k2 = m dk2
+        rho[outer] = _decay_sum(w2 * scale_out, dk2, 2.0 * (ax[outer] - x0))
 
     norm = integrate_real(rho, grid.spacing)
     if norm <= 0.0:

@@ -104,13 +104,24 @@ def truncation_bound(packet: GaussianPacket) -> float:
     return math.erfc(8.0 / math.sqrt(2.0)) / packet.b
 
 
+# Ceiling on the automatic spectral node count.  The default spread grid
+# needs at most 9371 nodes for k0 <= 10 and t <= 5; a count past this cap
+# would ask for gigabytes, so it is refused instead of allocated.
+_MAX_AUTO_NODES = 1_000_000
+
+
 def _auto_nodes(packet: GaussianPacket, t: float, grid: Grid1D, disp: DispersionLaw) -> int:
     # resolve the fastest phase oscillation exp(i(kx - omega t)) on the window
     lo, hi = spectral_window(packet)
     k_abs = max(abs(lo), abs(hi))
     reach = max(abs(grid.x_min), abs(grid.x_max)) + k_abs * disp.hbar * abs(t) / disp.mass
-    cycles = (hi - lo) * reach / (2.0 * np.pi)
-    return _as_odd(max(3001, int(32.0 * cycles)))
+    nodes = 32.0 * ((hi - lo) * reach / (2.0 * np.pi))
+    if not nodes <= _MAX_AUTO_NODES:
+        raise ValueError(
+            f"carrier k0 = {packet.k0:g} at time t = {t:g} needs {nodes:.3g} automatic "
+            f"spectral nodes, above the limit of {_MAX_AUTO_NODES}; lower k0 or times"
+        )
+    return _as_odd(max(3001, int(nodes)))
 
 
 def propagate(

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -76,11 +77,15 @@ class TestValidationPaths:
             (["well", "--set", "n_k=1"], "needs at least 2 nodes"),
             (["well", "--set", "resonance_tol=2"], "excludes every interior member"),
             (["spread", "--set", "times=0,nan"], "parameter 'times' must be finite"),
+            (["spread", "--set", "k0=1e10"], "lower k0 or times"),
+            (["well", "--set", "v0=1e308"], "well depth v0 = 1e+308 is too deep"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
         out = tmp_path / "t.csv"
-        code, stdout, err = run([*args, "--out", str(out)], capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, stdout, err = run([*args, "--out", str(out)], capsys)
         assert code == 1
         assert message in err
         assert "Traceback" not in err

@@ -24,7 +24,7 @@ from qensemble.ensemble import (
     potential_wavefunction,
     uncertainty_product,
 )
-from qensemble.numerics import Grid1D, SingleMode
+from qensemble.numerics import Grid1D, KBall, SingleMode, _simpson_weights
 
 
 class TestParticleModel:
@@ -151,6 +151,26 @@ class TestWavefunctions:
         assert np.all(psi.values.real > 0.0)
         assert np.all(np.diff(psi.values.real) < 0.0)
         assert np.abs(psi.values.imag).max() <= 1e-12
+
+    def test_piecewise_potential_with_repeated_value(self):
+        # V = 0 holds on two disjoint runs around a barrier and a well, so
+        # each run is synthesized on its own; compare every node against a
+        # per-node dense sum
+        p = ParticleModel.natural()
+        pot = PotentialSpec.piecewise_constant([1.0, 2.5, 4.0], [0.0, 3.0, 0.0, -2.0])
+        grid = Grid1D(0.0, 6.0, 61)
+        psi = potential_wavefunction(p, pot, grid, n_k=401)
+        ref = np.empty(grid.n, dtype=complex)
+        for j, (r, v) in enumerate(zip(grid.points(), pot(grid.points()))):
+            rng = allowed_k_range(p, float(v))
+            k = KBall(rng.k_hi, 401).nodes()
+            w = _simpson_weights(k.size, k[1] - k[0]) * k * k * member_amplitude(p, rng)(k)
+            if rng.regime is Regime.DECAYING:
+                kern = np.exp(-k * r)
+            else:
+                kern = np.sinc(k * r / np.pi)
+            ref[j] = 4.0 * np.pi * (2.0 * np.pi) ** -1.5 * np.dot(w, kern)
+        assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_density_is_squared_modulus(self):
         p = ParticleModel.natural()

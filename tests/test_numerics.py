@@ -13,6 +13,7 @@ from qensemble.numerics import (
     Grid1D,
     KBall,
     SingleMode,
+    _decay_sum,
     _synthesize,
     integrate_1d,
     integrate_ball,
@@ -161,6 +162,87 @@ class TestRadialSuperposition:
         assert_allclose(inside[0].real, expected, rtol=1e-14)
         outside = radial_superposition(SingleMode(3.0), KBall(1.0), 2.0)
         assert outside[0] == 0.0
+
+
+def flat_ball_oscillatory(K, r):
+    """int_0^K k^2 sin(kr)/(kr) dk = (sin Kr - Kr cos Kr) / r^3."""
+    z = K * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (np.sin(z) - z * np.cos(z)) / r**3
+    # the closed form cancels catastrophically as Kr -> 0; sum its series
+    small = z < 1.0
+    zs = z[small]
+    out[small] = K**3 * sum(
+        (-1) ** n * (2 * n + 2) * zs ** (2 * n) / math.factorial(2 * n + 3) for n in range(12)
+    )
+    return out
+
+
+def flat_ball_decaying(K, r):
+    """int_0^K k^2 exp(-kr) dk = (2 - exp(-Kr) (K^2 r^2 + 2 K r + 2)) / r^3."""
+    z = K * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (2.0 - np.exp(-z) * (z * z + 2.0 * z + 2.0)) / r**3
+    small = z < 1.0
+    zs = z[small]
+    out[small] = K**3 * sum((-zs) ** n / (math.factorial(n) * (n + 3)) for n in range(25))
+    return out
+
+
+class TestRadialProfiles:
+    """Whole radial profiles, origin and first nodes included."""
+
+    r = np.linspace(0.0, 8.0, 801)
+
+    @pytest.mark.parametrize(
+        "kernel,closed",
+        [("oscillatory", flat_ball_oscillatory), ("decaying", flat_ball_decaying)],
+    )
+    def test_flat_ball_closed_forms(self, kernel, closed):
+        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
+        psi = radial_superposition(flat, KBall(1.0, 2001), self.r, kernel=kernel)
+        ref = 4.0 * np.pi * TWO_PI**-1.5 * closed(1.0, self.r)
+        assert np.abs(psi.real - ref).max() <= 2e-13 * np.abs(ref).max()
+        assert np.all(psi.imag == 0.0)
+
+    @pytest.mark.parametrize("kernel", ["oscillatory", "decaying"])
+    def test_imaginary_amplitude_gives_imaginary_profile(self, kernel):
+        ball = KBall(1.3, 401)
+        real = radial_superposition(lambda k: np.exp(-k * k) + 0j, ball, self.r, kernel=kernel)
+        imag = radial_superposition(lambda k: 1j * np.exp(-k * k), ball, self.r, kernel=kernel)
+        assert np.all(imag.real == 0.0)
+        assert np.array_equal(imag.imag, real.real)
+
+    def test_non_uniform_radii_rejected(self):
+        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
+        with pytest.raises(ValueError, match="uniform"):
+            radial_superposition(flat, KBall(1.0), np.array([0.0, 0.1, 0.25, 0.3]))
+
+
+class TestDecaySum:
+    """Baby-step/giant-step decaying sums against the dense exp matrix."""
+
+    @pytest.mark.parametrize(
+        "n_k,d,complex_weights",
+        [
+            (2, [0.0, 0.5], False),
+            (3, [0.0, 0.1, 2.0, 7.5], False),
+            (23, np.linspace(0.0, 6.0, 37), True),  # b = 5 leaves 2 padded slots
+            (2001, np.r_[0.0, np.geomspace(1e-4, 40.0, 300)], False),
+            (1601, np.random.default_rng(3).uniform(0.0, 9.0, 250), True),
+        ],
+    )
+    def test_matches_dense(self, n_k, d, complex_weights):
+        rng = np.random.default_rng(n_k)
+        d = np.asarray(d, dtype=float)
+        dk = 1.7 / (n_k - 1)
+        w = rng.normal(size=n_k)
+        if complex_weights:
+            w = w + 1j * rng.normal(size=n_k)
+        dense = np.exp(-np.outer(d, dk * np.arange(n_k))) @ w
+        out = _decay_sum(w, dk, d)
+        assert out.shape == d.shape
+        assert np.abs(out - dense).max() <= 1e-13 * np.abs(w).sum()
 
 
 class TestLineSuperposition:

@@ -72,6 +72,12 @@ class TestPairMember:
         assert_allclose(member.chi0, math.e / math.sqrt(2.0), rtol=0.0, atol=1e-15)
 
 
+    def test_overflowing_amplitude_rejected(self):
+        # k2 x0 near 1000 puts exp(k2 x0) past the float range
+        with pytest.raises(ValueError, match="v0 = 1e\\+06"):
+            pair_member(default_config(v0=1e6), 0.5)
+
+
 class TestMemberWavefunction:
     def test_walls_match_bitwise(self):
         cfg = default_config()

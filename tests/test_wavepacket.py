@@ -116,6 +116,15 @@ class TestPropagation:
         with pytest.raises(ValueError, match="at least 2 nodes"):
             propagate(GaussianPacket(b=1.0, k0=5.0), 1.0, Grid1D(-4.0, 4.0, 81), n_k=1)
 
+    def test_automatic_node_count_is_bounded(self):
+        grid = Grid1D(-10.0, 25.0, 1201)
+        law = DispersionLaw()
+        # the default spread grid's largest count for k0 <= 10, t <= 5
+        assert wavepacket._auto_nodes(GaussianPacket(b=1.0, k0=10.0), 5.0, grid, law) == 9371
+        # 1.6e12 nodes (about 13 TB) are refused before anything is allocated
+        with pytest.raises(ValueError, match="k0 = 1e\\+10.*lower k0 or times"):
+            wavepacket._auto_nodes(GaussianPacket(b=1.0, k0=1e10), 2.0, grid, law)
+
 
 class TestClosedForms:
     def test_modes_agree_only_at_rest(self):
