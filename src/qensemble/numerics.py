@@ -290,14 +290,26 @@ def radial_superposition(
     if kernel == "decaying":
         return pref * _decay_sum(wts * k, dk, np.abs(r_arr))
     # k^2 sin(kr)/(kr) = k Im e^{ikr} / r; the real and imaginary weights go
-    # through separately so that each keeps its own Im, and r = 0 takes the
-    # limit sum_m wts[m] k_m
+    # through separately so that each keeps its own Im
     out = np.empty(r_arr.shape, dtype=np.complex128)
     out.real = _synthesize(wts.real, 0.0, dk, r_arr).imag
     out.imag = _synthesize(wts.imag, 0.0, dk, r_arr).imag
-    origin = r_arr == 0.0
-    out /= np.where(origin, 1.0, r_arr)
-    out[origin] = np.dot(wts, k)
+    # the FFT's absolute rounding in Im does not shrink with r, so dividing
+    # by r would magnify it without bound near the origin.  Nodes with
+    # k_max |r| < 0.1 sum the series sin(kr)/r = k sum_j (-(kr)^2)^j/(2j+1)!
+    # instead, in u = k/k_max and t = (k_max r)^2; the first omitted term is
+    # below 3e-18 of the leading one, and past the cut the division costs at
+    # most about 1e-14 of the peak.
+    small = np.abs(r_arr) * ball.k_max < 0.1
+    out /= np.where(small, 1.0, r_arr)
+    if small.any():
+        t = (ball.k_max * r_arr[small]) ** 2
+        u2 = (k / ball.k_max) ** 2
+        series = np.zeros(t.shape, dtype=np.complex128)
+        for j in range(4, -1, -1):
+            moment = np.dot(wts, k * (-u2) ** j) / math.factorial(2 * j + 1)
+            series = series * t + moment
+        out[small] = series
     return pref * out
 
 

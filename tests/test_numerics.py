@@ -189,6 +189,14 @@ def flat_ball_decaying(K, r):
     return out
 
 
+def odd_simpson_weights(k):
+    """Composite Simpson weights h/3 [1, 4, 2, ..., 2, 4, 1] for an odd node count."""
+    w = np.full(k.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (k[1] - k[0]) / 3.0
+
+
 class TestRadialProfiles:
     """Whole radial profiles, origin and first nodes included."""
 
@@ -204,6 +212,36 @@ class TestRadialProfiles:
         ref = 4.0 * np.pi * TWO_PI**-1.5 * closed(1.0, self.r)
         assert np.abs(psi.real - ref).max() <= 2e-13 * np.abs(ref).max()
         assert np.all(psi.imag == 0.0)
+
+    @pytest.mark.parametrize(
+        "kernel,closed",
+        [("oscillatory", flat_ball_oscillatory), ("decaying", flat_ball_decaying)],
+    )
+    @pytest.mark.parametrize(
+        "r",
+        [
+            np.linspace(-0.3, 0.7, 11),  # node 3 lands at 5.6e-17, not at 0
+            np.linspace(1e-12, 8.0, 801),
+            np.linspace(-2e-3, 2e-3, 41),  # every node inside the series cut
+            np.linspace(0.0995, 0.1005, 11),  # nodes on both sides of the cut
+        ],
+    )
+    def test_nodes_near_the_origin(self, kernel, closed, r):
+        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
+        psi = radial_superposition(flat, KBall(1.0, 2001), r, kernel=kernel)
+        ref = 4.0 * np.pi * TWO_PI**-1.5 * closed(1.0, np.abs(r))
+        assert np.abs(psi.real - ref).max() <= 2e-13 * np.abs(ref).max()
+        assert np.all(psi.imag == 0.0)
+
+    @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-12, 0.05, 0.2, 3.0])
+    def test_scalar_radius_matches_sinc_sum(self, r):
+        ball = KBall(2.5, 801)
+        k = ball.nodes()
+        amp = lambda k: np.exp(-k) * (1.0 + 0.5j * k)  # noqa: E731
+        w = 4.0 * np.pi * TWO_PI**-1.5 * odd_simpson_weights(k) * k * k * amp(k)
+        ref = np.dot(w, np.sinc(k * r / np.pi))
+        psi = radial_superposition(amp, ball, r)
+        assert abs(psi[0] - ref) <= 1e-14 * np.abs(w).sum()
 
     @pytest.mark.parametrize("kernel", ["oscillatory", "decaying"])
     def test_imaginary_amplitude_gives_imaginary_profile(self, kernel):
