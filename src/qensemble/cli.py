@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -203,8 +204,14 @@ def _fmt_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+class _Verbatim(str):
+    """Text already rendered as a JSON fragment at its place in the document."""
+
+
 def _json_fragment(obj, indent: int) -> str:
     pad = "  " * indent
+    if isinstance(obj, _Verbatim):
+        return obj
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -235,40 +242,53 @@ def _dump_json(obj) -> str:
     return _json_fragment(obj, 0) + "\n"
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    return str(value)
+def _column_cells(name: str, values, fmt: str) -> list[str]:
+    """Every cell of one column as text, rendered the way _json_fragment renders a value."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f":
+        if not np.isfinite(arr).all():
+            bad = arr[~np.isfinite(arr)][0]
+            raise _CliError(f"refusing to serialize non-finite value {bad} in column '{name}'")
+        return list(map("{:.17g}".format, arr.tolist()))
+    if arr.dtype.kind in "iu":
+        return list(map(str, arr.tolist()))
+    if arr.dtype.kind == "U":
+        return list(map(json.dumps, arr.tolist())) if fmt == "json" else arr.tolist()
+    raise _CliError(f"cannot serialize column '{name}' of dtype {arr.dtype}")
 
 
-def _write_table(path: str, fmt: str, result: ScenarioResult, scenario: str, params: dict) -> None:
+def _render_table(fmt: str, result: ScenarioResult, scenario: str, params: dict) -> str:
     names = [name for name, _, _ in result.columns]
     units = [unit for _, unit, _ in result.columns]
     length = len(result.columns[0][2])
     for name, _, values in result.columns:
         if len(values) != length:
             raise _CliError(f"column '{name}' length differs from the first column")
-    rows = [[result.columns[c][2][r] for c in range(len(result.columns))] for r in range(length)]
+    cells = [_column_cells(name, values, fmt) for name, _, values in result.columns]
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([f"{n} ({u})" for n, u in zip(names, units)])
-            for row in rows:
-                writer.writerow([_cell(v) for v in row])
-    else:
-        payload = {
-            "schema_version": 1,
-            "scenario": scenario,
-            "params": params,
-            "columns": [{"name": n, "unit": u} for n, u in zip(names, units)],
-            "rows": rows,
-        }
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_dump_json(payload))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([f"{n} ({u})" for n, u in zip(names, units)])
+        writer.writerows(zip(*cells))
+        return buf.getvalue()
+    # each row is a list at indent 2 inside "rows" at indent 1, as _json_fragment lays it out
+    row = "[\n      " + ",\n      ".join(["{}"] * len(cells)) + "\n    ]"
+    rows = "[\n    " + ",\n    ".join(map(row.format, *cells)) + "\n  ]" if length else "[]"
+    payload = {
+        "schema_version": 1,
+        "scenario": scenario,
+        "params": params,
+        "columns": [{"name": n, "unit": u} for n, u in zip(names, units)],
+        "rows": _Verbatim(rows),
+    }
+    return _dump_json(payload)
+
+
+def _write_table(path: str, fmt: str, result: ScenarioResult, scenario: str, params: dict) -> None:
+    # rendered in full first, so a value that cannot be written leaves no file
+    text = _render_table(fmt, result, scenario, params)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def _q(value, unit: str) -> dict:
@@ -284,7 +304,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
     convention = _CONVENTIONS[params["convention"]]
     grid = Grid1D(params["r_min"], params["r_max"], params["n_r"])
     res = ScenarioResult(geometry="3d_radial")
-    res.columns.append(("r", "length", list(grid.points())))
+    res.columns.append(("r", "length", grid.points()))
     res.notes.append("densities are unnormalized equal-weight member superpositions in natural units")
     closed_origin = (2.0 * np.pi) ** -1.5 * (4.0 * np.pi / 3.0) * np.sqrt(p.mass)
     origin_included = params["r_min"] == 0.0
@@ -292,7 +312,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
         kr = allowed_k_range(p, v, convention)
         tag = f"v={v:g}"
         psi = potential_wavefunction(p, PotentialSpec.constant(v), grid, n_k=params["n_k"], convention=convention)
-        res.columns.append((f"rho[{tag}]", "1/length^3", list(psi.density())))
+        res.columns.append((f"rho[{tag}]", "1/length^3", psi.density()))
         res.outputs[f"k_hi[{tag}]"] = _q(kr.k_hi, "1/length")
         res.outputs[f"regime[{tag}]"] = kr.regime.name.lower()
         if kr.is_empty:
@@ -326,14 +346,14 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
         raise _CliError(f"parameter 'times' must be finite, got {times}")
     n_k = params["n_k"] if params["n_k"] > 0 else None
     res = ScenarioResult(geometry="1d_line")
-    res.columns.append(("x", "length", list(x)))
+    res.columns.append(("x", "length", x))
     kinds = ("gaussian", "single_mode") if params["packet"] == "both" else (params["packet"],)
     if "gaussian" in kinds:
         packet = GaussianPacket(b=params["b"], k0=params["k0"])
         worst = 0.0
         for t in times:
             dens = propagate(packet, t, grid, law, n_k=n_k).density()
-            res.columns.append((f"density_gaussian[t={t:g}]", "1/length", list(dens)))
+            res.columns.append((f"density_gaussian[t={t:g}]", "1/length", dens))
             # the symmetric Fourier normalization puts 1/b^2 on the unit-peak form
             ref = closed_form_density(packet, x, t, law, mode="textbook") / packet.b**2
             mask = ref >= 1e-8 * float(ref.max())
@@ -347,7 +367,7 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
         for t in times:
             dens = propagate(mode, t, grid, law).density()
             worst = max(worst, float(np.abs(dens - 1.0).max()))
-            res.columns.append((f"density_single_mode[t={t:g}]", "1/length", [1.0] * x.size))
+            res.columns.append((f"density_single_mode[t={t:g}]", "1/length", np.ones(x.size)))
         res.oracle_deltas["single_mode_unit_density"] = (worst, 1e-12, "absolute")
         res.notes.append(
             "single-mode columns carry the exact unit density; the propagated field is compared "
@@ -379,9 +399,9 @@ def _run_collapse(params: dict, seed: int) -> ScenarioResult:
         if filtered.fully_blocked
         else before_vals - flat_field(filtered.after.k_lo)
     )
-    res.columns.append(("r", "length", list(grid.points())))
-    res.columns.append(("rho_before", "1/length^3", list(np.abs(before_vals) ** 2)))
-    res.columns.append(("rho_after", "1/length^3", list(np.abs(after_vals) ** 2)))
+    res.columns.append(("r", "length", grid.points()))
+    res.columns.append(("rho_before", "1/length^3", np.abs(before_vals) ** 2))
+    res.columns.append(("rho_after", "1/length^3", np.abs(after_vals) ** 2))
     fraction = collapse_fraction(p, filtered, n_k=n_k)
     res.outputs["k_hi_before"] = _q(filtered.before.k_hi, "1/length")
     res.outputs["k_lo_after"] = _q(filtered.after.k_lo, "1/length")
@@ -406,8 +426,8 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
     grid = Grid1D(params["x_min"], params["x_max"], params["n_x"])
     profile = well_ensemble_density(cfg, grid, n_k=params["n_k"], resonance_tol=params["resonance_tol"])
     res = ScenarioResult(geometry="1d_line")
-    res.columns.append(("x", "length", list(grid.points())))
-    res.columns.append(("rho", "1/length", list(profile.values)))
+    res.columns.append(("x", "length", grid.points()))
+    res.columns.append(("rho", "1/length", profile.values))
     res.outputs["pair_constant"] = _q(cfg.pair_constant, "1/length^2")
     res.outputs["k0_inner"] = _q(cfg.k0, "1/length")
     res.outputs["k0_outer"] = _q(cfg.k0_prime, "1/length")
@@ -448,12 +468,12 @@ def _run_eraser(params: dict, seed: int) -> ScenarioResult:
         c=params["c"],
     )
     res = ScenarioResult(geometry="polarization_optics")
-    res.columns.append(("phase", "radian", list(report.phases)))
+    res.columns.append(("phase", "radian", report.phases))
     vis_err = 0.0
     targets = {"baseline": 1.0, "rotator_in_path1": 0.0, "rotator_plus_diagonal": 1.0}
     for stage, target in targets.items():
-        res.columns.append((f"intensity_fields[{stage}]", "intensity", list(report.field_curves[stage])))
-        res.columns.append((f"intensity_state[{stage}]", "intensity", list(report.state_curves[stage])))
+        res.columns.append((f"intensity_fields[{stage}]", "intensity", report.field_curves[stage]))
+        res.columns.append((f"intensity_state[{stage}]", "intensity", report.state_curves[stage]))
         res.outputs[f"visibility_fields[{stage}]"] = _q(report.field_visibility[stage], "dimensionless")
         res.outputs[f"visibility_state[{stage}]"] = _q(report.state_visibility[stage], "dimensionless")
         vis_err = max(
@@ -563,7 +583,6 @@ def _run_scenario(name: str, args) -> int:
     params = _gather_params(name, args.config, args.overrides)
     out_path = args.out if args.out is not None else f"{name}.{args.format}"
     result = RUNNERS[name](params, args.seed)
-    _write_table(out_path, args.format, result, name, params)
     breaches = {
         key: value for key, (value, tol, _) in result.oracle_deltas.items() if not value <= tol
     }
@@ -584,8 +603,12 @@ def _run_scenario(name: str, args) -> int:
             for key, (value, tol, unit) in result.oracle_deltas.items()
         },
         "notes": result.notes,
-        "wall_time_s": _q(time.perf_counter() - start, "second"),
+        "wall_time_s": _q(0.0, "second"),
     }
+    # a report that cannot be serialized exits 1 before the table is written
+    _dump_json(report)
+    _write_table(out_path, args.format, result, name, params)
+    report["wall_time_s"] = _q(time.perf_counter() - start, "second")
     print(_dump_json(report), end="")
     if breaches:
         worst = ", ".join(f"{k} = {_fmt_float(v)}" for k, v in breaches.items())

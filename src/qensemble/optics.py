@@ -172,33 +172,59 @@ class EraserConfig:
     c: float = 1.0
 
 
-def _eraser_beams(cfg: EraserConfig) -> list[PolarizedBeam]:
-    path1, path2 = split_beam(horizontal_beam(cfg.e_amp, cfg.b_amp, cfg.c))
-    path2 = path2.with_phase(cfg.phase)
-    if cfg.stage is not EraserStage.BASELINE:
+def _eraser_beams(stage: EraserStage, e_amp: complex, b_amp: complex, c: float) -> list[PolarizedBeam]:
+    """The eraser's two paths at relative phase 0."""
+    path1, path2 = split_beam(horizontal_beam(e_amp, b_amp, c))
+    if stage is not EraserStage.BASELINE:
         path1 = rotate_polarization(path1)
     beams = [path1, path2]
-    if cfg.stage is EraserStage.ROTATOR_DIAGONAL:
+    if stage is EraserStage.ROTATOR_DIAGONAL:
         beams = [diagonal_polarizer(b) for b in beams]
     return beams
 
 
+def _field_sweep(stage: EraserStage, phases: ArrayF, e_amp: complex, b_amp: complex, c: float) -> ArrayF:
+    """Field-route intensity at each relative phase of path 2.
+
+    The beams are built once at phase 0.  Path 2's phase enters as the
+    factor exp(i phase) on its amplitude, in the order PolarizedBeam.e_vec
+    and b_vec apply it, so each entry equals em_intensity of the two beams
+    at that phase bit for bit.
+    """
+    path1, path2 = _eraser_beams(stage, e_amp, b_amp, c)
+    turn = np.exp(1j * phases)[:, None]
+    e_tot = path1.e_vec + complex(path2.e_amp) * turn * path2.e_dir
+    b_tot = path1.b_vec + complex(path2.b_amp) * turn * path2.b_dir
+    e_sq = np.sum(np.abs(e_tot) ** 2, axis=1)
+    b_sq = np.sum(np.abs(b_tot) ** 2, axis=1)
+    return 0.5 * (e_sq / (c * c) + b_sq)
+
+
+def _state_sweep(stage: EraserStage, phases: ArrayF) -> ArrayF:
+    """State-route intensity at each relative phase of path 2.
+
+    np.vecdot is np.vdot row by row, so each entry equals the projection of
+    one two-component state onto the diagonal bit for bit.
+    """
+    h = np.array([1.0, 0.0], dtype=np.complex128)
+    v = np.array([0.0, 1.0], dtype=np.complex128)
+    path1 = h if stage is EraserStage.BASELINE else v
+    path2 = h * np.exp(1j * phases)[:, None]
+    psi = (path1 + path2) / np.sqrt(2.0)
+    if stage is EraserStage.ROTATOR_DIAGONAL:
+        d = (h + v) / np.sqrt(2.0)
+        psi = np.vecdot(d, psi)[:, None] * d
+    return np.sum(np.abs(psi) ** 2, axis=1)
+
+
 def eraser_intensity_fields(cfg: EraserConfig) -> float:
     """Eraser output intensity from the summed vector fields."""
-    return em_intensity(_eraser_beams(cfg))
+    return float(_field_sweep(cfg.stage, np.array([cfg.phase]), cfg.e_amp, cfg.b_amp, cfg.c)[0])
 
 
 def eraser_intensity_statevector(cfg: EraserConfig) -> float:
     """Eraser output intensity from the two-component polarization state."""
-    h = np.array([1.0, 0.0], dtype=np.complex128)
-    v = np.array([0.0, 1.0], dtype=np.complex128)
-    path1 = h if cfg.stage is EraserStage.BASELINE else v
-    path2 = h * np.exp(1j * cfg.phase)
-    psi = (path1 + path2) / np.sqrt(2.0)
-    if cfg.stage is EraserStage.ROTATOR_DIAGONAL:
-        d = (h + v) / np.sqrt(2.0)
-        psi = np.vdot(d, psi) * d
-    return float(np.sum(np.abs(psi) ** 2))
+    return float(_state_sweep(cfg.stage, np.array([cfg.phase]))[0])
 
 
 def visibility(curve) -> float:
@@ -236,25 +262,27 @@ def formalism_agreement(
     the state route over every stage and phase together; the report's
     max_abs_deviation measures how pointwise-proportional the routes are.
     """
+    for name, value in (("e_amp", e_amp), ("b_amp", b_amp), ("c", c)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if n_phases < 1:
+        raise ValueError(f"n_phases must be at least 1, got {n_phases}")
     phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
-    field_curves: dict = {}
-    state_curves: dict = {}
-    for stage in EraserStage:
-        f = np.array(
-            [eraser_intensity_fields(EraserConfig(stage, p, e_amp, b_amp, c)) for p in phases]
-        )
-        s = np.array(
-            [eraser_intensity_statevector(EraserConfig(stage, p, e_amp, b_amp, c)) for p in phases]
-        )
-        field_curves[stage.value] = f
-        state_curves[stage.value] = s
-    f_all = np.concatenate(list(field_curves.values()))
-    s_all = np.concatenate(list(state_curves.values()))
-    denom = float(np.dot(s_all, s_all))
-    if denom == 0.0:
-        raise ValueError("state-route intensities vanish identically")
-    constant = float(np.dot(f_all, s_all)) / denom
-    max_dev = float(np.max(np.abs(f_all - constant * s_all)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        field_curves = {s.value: _field_sweep(s, phases, e_amp, b_amp, c) for s in EraserStage}
+        state_curves = {s.value: _state_sweep(s, phases) for s in EraserStage}
+        f_all = np.concatenate(list(field_curves.values()))
+        s_all = np.concatenate(list(state_curves.values()))
+        denom = float(np.dot(s_all, s_all))
+        if denom == 0.0:
+            raise ValueError("state-route intensities vanish identically")
+        constant = float(np.dot(f_all, s_all)) / denom
+        max_dev = float(np.max(np.abs(f_all - constant * s_all)))
+    # dot(f, s) holds twice the largest field intensity (the baseline peak at
+    # phase 0, where the state intensity is 2), so a finite constant also
+    # keeps each visibility's max + min finite
+    if not (np.isfinite(f_all).all() and np.isfinite(constant) and np.isfinite(max_dev)):
+        raise ValueError(f"field intensities overflow for e_amp = {e_amp:g}, b_amp = {b_amp:g}, c = {c:g}")
     return FormalismReport(
         phases=phases,
         field_curves=field_curves,
@@ -339,6 +367,10 @@ class EfficiencyLedger:
         return self.counts["undetected"] / bound if bound else 0.0
 
 
+# Trials drawn at a time: about 5 MiB of draws and masks, whatever n_trials is.
+_TRIAL_CHUNK = 1 << 18
+
+
 def efficiency_account(cfg: MZConfig, n_trials: int, seed: int = DEFAULT_SEED) -> EfficiencyLedger:
     """Seeded Monte Carlo ledger of absorbed, detected and missed photons.
 
@@ -346,22 +378,32 @@ def efficiency_account(cfg: MZConfig, n_trials: int, seed: int = DEFAULT_SEED) -
     the detector with the configured efficiency.  Draws come from a
     counter-based Philox generator, so the ledger is reproducible for a
     given seed and the stream can be split across workers without overlap.
+    Trials run in chunks of _TRIAL_CHUNK; the counts do not depend on it.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     probs = mz_probabilities(cfg)
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random(n_trials)
-    absorbed = u < probs.absorbed
-    bright = (~absorbed) & (u < probs.absorbed + probs.bright)
-    dark = ~(absorbed | bright)
-    clicks = rng.random(n_trials) < cfg.efficiency
-    counts = {
-        "absorbed": int(np.count_nonzero(absorbed)),
-        "detected_bright": int(np.count_nonzero(bright & clicks)),
-        "detected_dark": int(np.count_nonzero(dark & clicks)),
-        "undetected": int(np.count_nonzero((bright | dark) & ~clicks)),
-    }
+    # The routing draws are doubles 0 .. n-1 of the Philox(seed) stream and
+    # the detector draws continue it from double n.  Philox makes four
+    # doubles per counter step, so the detector's own generator starts
+    # n // 4 steps on and skips n % 4 doubles.
+    routes = np.random.Generator(np.random.Philox(seed))
+    detector_bits = np.random.Philox(seed)
+    detector_bits.advance(n_trials // 4)
+    detector = np.random.Generator(detector_bits)
+    detector.random(n_trials % 4)
+    counts = dict.fromkeys(("absorbed", "detected_bright", "detected_dark", "undetected"), 0)
+    for start in range(0, n_trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, n_trials - start)
+        u = routes.random(size)
+        absorbed = u < probs.absorbed
+        bright = (~absorbed) & (u < probs.absorbed + probs.bright)
+        dark = ~(absorbed | bright)
+        clicks = detector.random(size) < cfg.efficiency
+        counts["absorbed"] += int(np.count_nonzero(absorbed))
+        counts["detected_bright"] += int(np.count_nonzero(bright & clicks))
+        counts["detected_dark"] += int(np.count_nonzero(dark & clicks))
+        counts["undetected"] += int(np.count_nonzero((bright | dark) & ~clicks))
     eta = cfg.efficiency
     expected = {
         "absorbed": probs.absorbed,

@@ -96,7 +96,13 @@ def packet_spectrum(packet: InitialPacket):
 
 def spectral_window(packet: GaussianPacket) -> tuple[float, float]:
     """Truncated spectral support [k0 - 8/b, k0 + 8/b]."""
-    return (packet.k0 - 8.0 / packet.b, packet.k0 + 8.0 / packet.b)
+    lo, hi = packet.k0 - 8.0 / packet.b, packet.k0 + 8.0 / packet.b
+    if not lo < hi:
+        raise ValueError(
+            f"spectral window k0 -/+ 8/b collapses to one point for k0 = {packet.k0:g}, "
+            f"b = {packet.b:g}; lower k0 or b"
+        )
+    return lo, hi
 
 
 def truncation_bound(packet: GaussianPacket) -> float:
@@ -141,7 +147,12 @@ def propagate(
     disp = dispersion if dispersion is not None else DispersionLaw()
     x = grid.points()
     if isinstance(packet, SingleMode):
-        phase = packet.k0 * x - float(disp.omega(packet.k0)) * t
+        with np.errstate(over="ignore", invalid="ignore"):
+            phase = packet.k0 * x - float(disp.omega(packet.k0)) * t
+        if not np.isfinite(phase).all():
+            raise ValueError(
+                f"single-mode phase k0 x - omega(k0) t overflows for k0 = {packet.k0:g}, t = {t:g}"
+            )
         return ComplexField(grid, np.exp(1j * phase))
     spec = packet_spectrum(packet)
     lo, hi = spectral_window(packet)

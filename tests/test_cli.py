@@ -1,12 +1,27 @@
 """Scenario runner: exit codes, table formats and determinism."""
 
+import contextlib
 import csv
+import io
 import json
+import os
+import tempfile
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qensemble.cli import main
+from qensemble.cli import (
+    RUNNERS,
+    SCENARIO_PARAMS,
+    ScenarioResult,
+    _CliError,
+    _dump_json,
+    _write_table,
+    main,
+)
 
 CHEAP_ARGS = {
     "ensemble": ["--set", "n_r=41", "--set", "r_max=4.0"],
@@ -79,6 +94,12 @@ class TestValidationPaths:
             (["spread", "--set", "times=0,nan"], "parameter 'times' must be finite"),
             (["spread", "--set", "k0=1e10"], "lower k0 or times"),
             (["well", "--set", "v0=1e308"], "well depth v0 = 1e+308 is too deep"),
+            (["eraser", "--set", "e_amp=nan"], "e_amp must be finite"),
+            (["eraser", "--set", "c=inf"], "c must be finite"),
+            (["eraser", "--set", "e_amp=1e200", "--format", "json"], "overflow for e_amp = 1e+200"),
+            (["spread", "--set", "k0=1e308"], "for k0 = 1e+308, b = 1"),
+            (["spread", "--set", "packet=single_mode", "--set", "k0=1e160"], "overflows for k0 = 1e+160"),
+            (["spread", "--set", "packet=single_mode", "--set", "b=nan"], "non-finite value nan"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -170,6 +191,86 @@ class TestDeterminism:
             assert row[1:] == ["1", "1", "1", "1"]
 
 
+def _cell_reference(value):
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return value
+
+
+def _csv_reference(result):
+    """The table written one cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"{name} ({unit})" for name, unit, _ in result.columns])
+    for r in range(len(result.columns[0][2])):
+        writer.writerow([_cell_reference(values[r]) for _, _, values in result.columns])
+    return buf.getvalue()
+
+
+def _json_reference(result, scenario, params):
+    """The whole payload through the generic encoder."""
+    rows = [[values[r] for _, _, values in result.columns] for r in range(len(result.columns[0][2]))]
+    return _dump_json(
+        {
+            "schema_version": 1,
+            "scenario": scenario,
+            "params": params,
+            "columns": [{"name": name, "unit": unit} for name, unit, _ in result.columns],
+            "rows": rows,
+        }
+    )
+
+
+def _edge_result():
+    result = ScenarioResult(geometry="none")
+    result.columns += [
+        ("value", "length", np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1])),
+        ("count", "count", np.array([0, -3, 2**62, 7, 1])),
+        ("tally", "count", [4, 0, 1, 2, 3]),
+        ("label", "label", ["plain", "with,comma", 'say "hi"', "tab\there", "\u00e9t\u00e9"]),
+    ]
+    return result
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("scenario", [*sorted(RUNNERS), "edge"])
+    def test_matches_per_cell_reference(self, scenario, fmt, tmp_path):
+        if scenario == "edge":
+            params = {"size": 5, "scale": [-0.0, 2.5]}
+            result = _edge_result()
+        else:
+            params = {key: spec.default for key, spec in SCENARIO_PARAMS[scenario].items()}
+            if scenario == "ensemble":
+                params.update(n_r=41, r_max=4.0)
+            result = RUNNERS[scenario](params, 12345)
+        out = tmp_path / f"table.{fmt}"
+        _write_table(str(out), fmt, result, scenario, params)
+        with open(out, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+        if fmt == "csv":
+            assert text == _csv_reference(result)
+        else:
+            assert text == _json_reference(result, scenario, params)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_leaves_no_file(self, fmt, tmp_path):
+        result = ScenarioResult(geometry="none")
+        result.columns += [("x", "length", np.array([0.0, 1.0])), ("y", "length", np.array([1.0, np.nan]))]
+        out = tmp_path / f"t.{fmt}"
+        with pytest.raises(_CliError, match="non-finite value nan in column 'y'"):
+            _write_table(str(out), fmt, result, "t", {})
+        assert not out.exists()
+
+    def test_one_row_table(self, tmp_path):
+        result = ScenarioResult(geometry="none", columns=[("x", "length", np.array([1.5]))])
+        out = tmp_path / "t.json"
+        _write_table(str(out), "json", result, "one", {})
+        assert out.read_text() == _json_reference(result, "one", {})
+
+
 class TestConfigHandling:
     def test_config_applies_and_overrides_win(self, capsys, tmp_path):
         cfg = tmp_path / "well.cfg"
@@ -239,3 +340,56 @@ class TestSelftest:
         lines = out1.strip().splitlines()
         assert lines[-1] == "selftest: 20 checks, 20 passed, 0 failed"
         assert all(line.startswith("PASS ") for line in lines[:-1])
+
+
+def _param_values(scenario, fixed):
+    """Strategy for `--set` overrides of one scenario: in-range draws and any double."""
+
+    def floats():
+        return st.one_of(st.floats(-10.0, 10.0), st.floats())
+
+    kinds = {
+        "float": floats(),
+        "int": st.integers(-2, 2000),
+        "floats": st.lists(floats(), max_size=4),
+        "bool": st.booleans(),
+    }
+    optional = {key: kinds[spec.kind] for key, spec in SCENARIO_PARAMS[scenario].items() if key not in fixed}
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+def _text(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return ",".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+class TestExitContract:
+    """Any parameter set ends in exit 0, 1 or 2, and exit 1 writes nothing."""
+
+    @pytest.mark.parametrize(
+        "scenario,fixed",
+        [("eraser", {}), ("bomb", {}), ("spread", {"packet": "single_mode"})],
+    )
+    def test_any_parameters_keep_the_exit_contract(self, scenario, fixed):
+        @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+        @given(params=_param_values(scenario, fixed), fmt=st.sampled_from(["csv", "json"]))
+        def check(params, fmt):
+            argv = [scenario, "--format", fmt]
+            for key, value in {**fixed, **params}.items():
+                argv += ["--set", f"{key}={_text(value)}"]
+            with tempfile.TemporaryDirectory() as tmp:
+                out = os.path.join(tmp, f"table.{fmt}")
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = main([*argv, "--out", out])
+                assert code in (0, 1, 2), argv
+                assert os.path.exists(out) == (code != 1), (argv, stderr.getvalue())
+                if code == 1:
+                    assert stdout.getvalue() == ""
+
+        check()

@@ -1,6 +1,8 @@
 """Polarized beams, the eraser bench and the absorber interferometer."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +157,61 @@ class TestEraser:
         report = formalism_agreement(n_phases=32, e_amp=2.0, b_amp=2.0)
         assert abs(report.constant - 4.0) <= 1e-12
 
+    @pytest.mark.parametrize("n_phases", [1, 64, 257])
+    @pytest.mark.parametrize("e_amp,b_amp,c", [(1.0, 1.0, 1.0), (0.7, 1.9, 1.0), (2.5, 0.6, 3.0)])
+    def test_sweep_equals_per_phase_route(self, n_phases, e_amp, b_amp, c):
+        report = formalism_agreement(n_phases=n_phases, e_amp=e_amp, b_amp=b_amp, c=c)
+        for stage in EraserStage:
+            fields = [_reference_field_intensity(stage, p, e_amp, b_amp, c) for p in report.phases]
+            states = [_reference_state_intensity(stage, p) for p in report.phases]
+            assert np.array_equal(report.field_curves[stage.value], fields)
+            assert np.array_equal(report.state_curves[stage.value], states)
+            for p, f, s in zip(report.phases, fields, states):
+                assert eraser_intensity_fields(EraserConfig(stage, p, e_amp, b_amp, c)) == f
+                assert eraser_intensity_statevector(EraserConfig(stage, p)) == s
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"e_amp": math.nan}, "e_amp must be finite"),
+            ({"b_amp": math.inf}, "b_amp must be finite"),
+            ({"c": -math.inf}, "c must be finite"),
+            ({"n_phases": 0}, "n_phases must be at least 1"),
+            ({"e_amp": 1e200}, "overflow for e_amp = 1e+200"),
+            ({"b_amp": 1e160}, "overflow for e_amp = 1, b_amp = 1e+160"),
+            ({"c": 1e-300}, "c = 1e-300"),
+        ],
+    )
+    def test_degenerate_sweep_rejected(self, kwargs, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                formalism_agreement(**kwargs)
+
+
+def _reference_field_intensity(stage, phase, e_amp, b_amp, c):
+    """One phase of the eraser, beam by beam."""
+    path1, path2 = split_beam(horizontal_beam(e_amp, b_amp, c))
+    path2 = path2.with_phase(phase)
+    if stage is not EraserStage.BASELINE:
+        path1 = rotate_polarization(path1)
+    beams = [path1, path2]
+    if stage is EraserStage.ROTATOR_DIAGONAL:
+        beams = [diagonal_polarizer(b) for b in beams]
+    return em_intensity(beams)
+
+
+def _reference_state_intensity(stage, phase):
+    """One phase of the eraser as one two-component state."""
+    h = np.array([1.0, 0.0], dtype=np.complex128)
+    v = np.array([0.0, 1.0], dtype=np.complex128)
+    path1 = h if stage is EraserStage.BASELINE else v
+    psi = (path1 + h * np.exp(1j * phase)) / np.sqrt(2.0)
+    if stage is EraserStage.ROTATOR_DIAGONAL:
+        d = (h + v) / np.sqrt(2.0)
+        psi = np.vdot(d, psi) * d
+    return float(np.sum(np.abs(psi) ** 2))
+
 
 class TestInterferometer:
     @pytest.mark.parametrize(
@@ -228,3 +285,28 @@ class TestEfficiencyLedger:
             assert abs(ledger.counts[key] - n * p) <= 3.0 * sigma
         assert ledger.expected_undetected_bound_share == 0.98
         assert abs(ledger.observed_undetected_bound_share - 0.98) <= 5e-3
+
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 3, 4, 5, 7, 1000, 2**18 - 1, 2**18, 2**18 + 1, 3_000_000, 3_000_001],
+    )
+    def test_chunked_counts_equal_one_shot_draws(self, n):
+        cfg = MZConfig(bomb_present=True, reflectivity=0.45, efficiency=0.3)
+        assert efficiency_account(cfg, n, seed=2024).counts == _one_shot_counts(cfg, n, 2024)
+
+
+def _one_shot_counts(cfg, n_trials, seed):
+    """Ledger counts from two whole-length draws of one Philox stream."""
+    probs = mz_probabilities(cfg)
+    rng = np.random.Generator(np.random.Philox(seed))
+    u = rng.random(n_trials)
+    absorbed = u < probs.absorbed
+    bright = (~absorbed) & (u < probs.absorbed + probs.bright)
+    dark = ~(absorbed | bright)
+    clicks = rng.random(n_trials) < cfg.efficiency
+    return {
+        "absorbed": int(np.count_nonzero(absorbed)),
+        "detected_bright": int(np.count_nonzero(bright & clicks)),
+        "detected_dark": int(np.count_nonzero(dark & clicks)),
+        "undetected": int(np.count_nonzero((bright | dark) & ~clicks)),
+    }
