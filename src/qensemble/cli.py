@@ -13,9 +13,9 @@ Monte Carlo scenario draws from a counter-based generator.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -37,7 +37,14 @@ from .ensemble import (
     potential_wavefunction,
 )
 from .numerics import Grid1D, KBall, SingleMode, integrate_real, superpose_field
-from .optics import DEFAULT_SEED, MZConfig, efficiency_account, formalism_agreement, mz_probabilities
+from .optics import (
+    DEFAULT_SEED,
+    MZConfig,
+    efficiency_account,
+    formalism_agreement,
+    mz_probabilities,
+    visibility,
+)
 from .squarewell import ResonantMemberError, WellConfig, pair_member, well_ensemble_density
 from .wavepacket import (
     DispersionLaw,
@@ -141,11 +148,11 @@ def _coerce(scenario: str, key: str, raw: str):
         raise _CliError(f"unknown parameter '{key}' for scenario '{scenario}' (allowed: {allowed})")
     try:
         if spec.kind == "float":
-            return float(raw)
+            return _finite(key, raw, float(raw))
         if spec.kind == "int":
             return int(raw)
         if spec.kind == "floats":
-            return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+            return _finite(key, raw, [float(tok) for tok in raw.split(",") if tok.strip() != ""])
         if spec.kind == "bool":
             lowered = raw.strip().lower()
             if lowered in ("true", "1", "yes", "on"):
@@ -160,6 +167,13 @@ def _coerce(scenario: str, key: str, raw: str):
     except ValueError as exc:
         raise _CliError(f"parameter '{key}' rejects value '{raw}' ({spec.kind})") from exc
     raise _CliError(f"parameter '{key}' has unhandled kind '{spec.kind}'")
+
+
+def _finite(key: str, raw: str, value):
+    """`value` unless it holds a nan or an infinity, which no float parameter takes."""
+    if not np.isfinite(value).all():
+        raise _CliError(f"parameter '{key}' rejects value '{raw}': {key} must be finite")
+    return value
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -242,18 +256,31 @@ def _dump_json(obj) -> str:
     return _json_fragment(obj, 0) + "\n"
 
 
-def _column_cells(name: str, values, fmt: str) -> list[str]:
-    """Every cell of one column as text, rendered the way _json_fragment renders a value."""
+# the fields csv.writer quotes under QUOTE_MINIMAL with lineterminator "\n";
+# Python 3.13 added "\r" to them
+_CSV_QUOTED = re.compile('[,"\n\r]' if sys.version_info >= (3, 13) else '[,"\n]')
+
+
+def _csv_field(text: str, alone: bool = False) -> str:
+    """`text` as csv.writer writes it; a row of one empty field is written as ""."""
+    if _CSV_QUOTED.search(text) or (alone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_cells(name: str, values, quote: Callable[[str], str]):
+    """One column's printf conversion and the cells it formats, strings already quoted."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f":
         if not np.isfinite(arr).all():
             bad = arr[~np.isfinite(arr)][0]
             raise _CliError(f"refusing to serialize non-finite value {bad} in column '{name}'")
-        return list(map("{:.17g}".format, arr.tolist()))
+        return "%.17g", arr
     if arr.dtype.kind in "iu":
-        return list(map(str, arr.tolist()))
+        return "%d", arr
     if arr.dtype.kind == "U":
-        return list(map(json.dumps, arr.tolist())) if fmt == "json" else arr.tolist()
+        # the given strings, not the array's, which drop trailing NULs
+        return "%s", list(map(quote, values))
     raise _CliError(f"cannot serialize column '{name}' of dtype {arr.dtype}")
 
 
@@ -264,16 +291,20 @@ def _render_table(fmt: str, result: ScenarioResult, scenario: str, params: dict)
     for name, _, values in result.columns:
         if len(values) != length:
             raise _CliError(f"column '{name}' length differs from the first column")
-    cells = [_column_cells(name, values, fmt) for name, _, values in result.columns]
+    quote = json.dumps if fmt == "json" else functools.partial(_csv_field, alone=len(names) == 1)
+    # one conversion per column; the cells interleaved row-major fill the whole-table template
+    specs = []
+    table = np.empty((length, len(names)), dtype=object)
+    for j, (name, _, values) in enumerate(result.columns):
+        spec, table[:, j] = _column_cells(name, values, quote)
+        specs.append(spec)
+    cells = tuple(table.ravel().tolist())
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"{n} ({u})" for n, u in zip(names, units)])
-        writer.writerows(zip(*cells))
-        return buf.getvalue()
+        header = ",".join(_csv_field(f"{n} ({u})") for n, u in zip(names, units)) + "\n"
+        return header + (",".join(specs) + "\n") * length % cells
     # each row is a list at indent 2 inside "rows" at indent 1, as _json_fragment lays it out
-    row = "[\n      " + ",\n      ".join(["{}"] * len(cells)) + "\n    ]"
-    rows = "[\n    " + ",\n    ".join(map(row.format, *cells)) + "\n  ]" if length else "[]"
+    row = "[\n      " + ",\n      ".join(specs) + "\n    ]"
+    rows = "[\n    " + ",\n    ".join([row] * length) % cells + "\n  ]" if length else "[]"
     payload = {
         "schema_version": 1,
         "scenario": scenario,
@@ -342,9 +373,9 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
     grid = Grid1D(params["x_min"], params["x_max"], params["n_x"])
     x = grid.points()
     times = params["times"]
-    if not np.all(np.isfinite(times)):
-        raise _CliError(f"parameter 'times' must be finite, got {times}")
-    n_k = params["n_k"] if params["n_k"] > 0 else None
+    if params["n_k"] < 0:
+        raise _CliError(f"parameter 'n_k' must be 0 (automatic) or a node count, got {params['n_k']}")
+    n_k = params["n_k"] or None
     res = ScenarioResult(geometry="1d_line")
     res.columns.append(("x", "length", x))
     kinds = ("gaussian", "single_mode") if params["packet"] == "both" else (params["packet"],)
@@ -443,7 +474,9 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
             skipped += 1
             continue
         pair_err = max(pair_err, abs(member.k1**2 + member.k2**2 - cfg.pair_constant))
-    res.oracle_deltas["member_pairing"] = (pair_err, 1e-12, "absolute")
+    # k2 = sqrt(P - k1^2) and the sum k1^2 + k2^2 round to within 2.5 eps P of P
+    pair_tol = max(1e-12, 3.0 * np.finfo(float).eps * cfg.pair_constant)
+    res.oracle_deltas["member_pairing"] = (pair_err, pair_tol, "absolute")
     res.oracle_deltas["density_parity"] = (
         float(np.abs(profile.values - profile.values[::-1]).max()),
         1e-10,
@@ -470,7 +503,9 @@ def _run_eraser(params: dict, seed: int) -> ScenarioResult:
     res = ScenarioResult(geometry="polarization_optics")
     res.columns.append(("phase", "radian", report.phases))
     vis_err = 0.0
-    targets = {"baseline": 1.0, "rotator_in_path1": 0.0, "rotator_plus_diagonal": 1.0}
+    # the sweep reaches phase pi, where 1 + cos vanishes, only for even n_phases
+    fringe = visibility(1.0 + np.cos(report.phases))
+    targets = {"baseline": fringe, "rotator_in_path1": 0.0, "rotator_plus_diagonal": fringe}
     for stage, target in targets.items():
         res.columns.append((f"intensity_fields[{stage}]", "intensity", report.field_curves[stage]))
         res.columns.append((f"intensity_state[{stage}]", "intensity", report.state_curves[stage]))
@@ -483,7 +518,12 @@ def _run_eraser(params: dict, seed: int) -> ScenarioResult:
         )
     res.outputs["route_constant"] = _q(report.constant, "dimensionless")
     res.oracle_deltas["visibility_targets"] = (vis_err, 1e-12, "absolute")
-    res.oracle_deltas["route_proportionality"] = (report.max_abs_deviation, 1e-12, "absolute")
+    # rounding in the field route grows with its intensities, which scale with the constant
+    res.oracle_deltas["route_proportionality"] = (
+        report.max_abs_deviation / max(1.0, report.constant),
+        1e-12,
+        "relative to max(1, route_constant)",
+    )
     return res
 
 

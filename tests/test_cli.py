@@ -2,26 +2,32 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
+import struct
 import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qensemble import cli
 from qensemble.cli import (
     RUNNERS,
     SCENARIO_PARAMS,
     ScenarioResult,
     _CliError,
     _dump_json,
+    _render_table,
     _write_table,
     main,
 )
+from qensemble.optics import formalism_agreement, visibility
+from qensemble.squarewell import pair_member
 
 CHEAP_ARGS = {
     "ensemble": ["--set", "n_r=41", "--set", "r_max=4.0"],
@@ -91,7 +97,7 @@ class TestValidationPaths:
             (["spread", "--set", "n_k=1"], "needs at least 2 nodes"),
             (["well", "--set", "n_k=1"], "needs at least 2 nodes"),
             (["well", "--set", "resonance_tol=2"], "excludes every interior member"),
-            (["spread", "--set", "times=0,nan"], "parameter 'times' must be finite"),
+            (["spread", "--set", "times=0,nan"], "parameter 'times' rejects value '0,nan'"),
             (["spread", "--set", "k0=1e10"], "lower k0 or times"),
             (["well", "--set", "v0=1e308"], "well depth v0 = 1e+308 is too deep"),
             (["eraser", "--set", "e_amp=nan"], "e_amp must be finite"),
@@ -99,7 +105,9 @@ class TestValidationPaths:
             (["eraser", "--set", "e_amp=1e200", "--format", "json"], "overflow for e_amp = 1e+200"),
             (["spread", "--set", "k0=1e308"], "for k0 = 1e+308, b = 1"),
             (["spread", "--set", "packet=single_mode", "--set", "k0=1e160"], "overflows for k0 = 1e+160"),
-            (["spread", "--set", "packet=single_mode", "--set", "b=nan"], "non-finite value nan"),
+            (["spread", "--set", "packet=single_mode", "--set", "b=nan"], "parameter 'b' rejects value 'nan'"),
+            (["spread", "--set", "n_k=-1"], "parameter 'n_k' must be 0 (automatic)"),
+            (["ensemble", "--set", "potentials=0,-inf"], "parameter 'potentials' rejects value '0,-inf'"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -271,6 +279,56 @@ class TestTableWriter:
         assert out.read_text() == _json_reference(result, "one", {})
 
 
+# finite doubles from any bit pattern, subnormals from the low 52 bits of either sign
+_DOUBLES = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(0, 2**52 - 1), st.integers(2**63, 2**63 + 2**52 - 1))
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(np.isfinite),
+)
+_LABELS = st.text(
+    st.one_of(
+        st.sampled_from([",", '"', "\r", "\n", "\t", " ", "\x00", "\u00e9", "\u20ac", "\U0001d11e"]),
+        st.characters(),
+    ),
+    max_size=6,
+)
+_CELLS = {
+    "float": (_DOUBLES, lambda xs: np.array(xs, dtype=np.float64)),
+    "int": (st.integers(-(2**62), 2**62), lambda ns: np.array(ns, dtype=np.int64)),
+    "label": (_LABELS, list),
+}
+
+
+@st.composite
+def _tables(draw):
+    n_rows = draw(st.integers(1, 6))
+    result = ScenarioResult(geometry="none")
+    for kind in draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4)):
+        cell, column = _CELLS[kind]
+        cells = column(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
+        result.columns.append((draw(_LABELS), draw(_LABELS), cells))
+    return result
+
+
+class TestRendererProperty:
+    def test_render_matches_per_cell_reference(self):
+        lone_empty = ScenarioResult(geometry="none", columns=[("label", "label", [""])])
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(result=_tables(), fmt=st.sampled_from(["csv", "json"]))
+        @example(result=lone_empty, fmt="csv")
+        @example(result=lone_empty, fmt="json")
+        def check(result, fmt):
+            text = _render_table(fmt, result, "t", {"scale": [-0.0, 2.5]})
+            if fmt == "csv":
+                assert text == _csv_reference(result)
+            else:
+                assert text == _json_reference(result, "t", {"scale": [-0.0, 2.5]})
+
+        check()
+
+
 class TestConfigHandling:
     def test_config_applies_and_overrides_win(self, capsys, tmp_path):
         cfg = tmp_path / "well.cfg"
@@ -329,6 +387,56 @@ class TestOracleBreach:
         assert not report["oracle_deltas"]["gaussian_vs_closed_form"]["within"]
         # the table is still written for inspection
         assert out.exists()
+
+
+class TestScaledOracles:
+    @pytest.mark.parametrize(
+        "overrides",
+        [["n_phases=63"], ["n_phases=315"], ["e_amp=1e8", "b_amp=1e8"]],
+    )
+    def test_eraser_correct_curves_pass(self, overrides, capsys, tmp_path):
+        argv = ["eraser", "--out", str(tmp_path / "e.csv")]
+        for item in overrides:
+            argv += ["--set", item]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        deltas = json.loads(stdout)["oracle_deltas"]
+        assert deltas["visibility_targets"]["within"] and deltas["route_proportionality"]["within"]
+
+    @pytest.mark.parametrize("n_phases", ["63", "64"])
+    def test_eraser_perturbed_curve_exits_two(self, n_phases, capsys, tmp_path, monkeypatch):
+        def perturbed(**kwargs):
+            report = formalism_agreement(**kwargs)
+            curve = report.field_curves["baseline"] + 1e-9
+            return dataclasses.replace(
+                report,
+                field_curves={**report.field_curves, "baseline": curve},
+                field_visibility={**report.field_visibility, "baseline": visibility(curve)},
+            )
+
+        monkeypatch.setattr(cli, "formalism_agreement", perturbed)
+        code, stdout, _ = run(["eraser", "--set", f"n_phases={n_phases}", "--out", str(tmp_path / "e.csv")], capsys)
+        assert code == 2
+        assert not json.loads(stdout)["oracle_deltas"]["visibility_targets"]["within"]
+
+    @pytest.mark.parametrize("v0", ["4", "1e4", "4e5"])
+    def test_well_pairing_scales_with_depth(self, v0, capsys, tmp_path):
+        code, stdout, _ = run(["well", "--set", f"v0={v0}", "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 0
+        pairing = json.loads(stdout)["oracle_deltas"]["member_pairing"]
+        assert pairing["within"]
+        assert pairing["tolerance"] == max(1e-12, 3.0 * np.finfo(float).eps * float(v0))
+
+    @pytest.mark.parametrize("v0", ["4", "1e4"])
+    def test_well_perturbed_k2_exits_two(self, v0, capsys, tmp_path, monkeypatch):
+        def perturbed(*args, **kwargs):
+            member = pair_member(*args, **kwargs)
+            return dataclasses.replace(member, k2=member.k2 * (1.0 + 1e-9))
+
+        monkeypatch.setattr(cli, "pair_member", perturbed)
+        code, stdout, _ = run(["well", "--set", f"v0={v0}", "--out", str(tmp_path / "w.csv")], capsys)
+        assert code == 2
+        assert not json.loads(stdout)["oracle_deltas"]["member_pairing"]["within"]
 
 
 class TestSelftest:
