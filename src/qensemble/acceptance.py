@@ -48,7 +48,9 @@ from .optics import (
 from .squarewell import (
     WellConfig,
     bound_state_residual,
+    density_parity,
     is_bound_state_member,
+    member_pairing,
     member_wavefunction,
     normalization_audit,
     pair_member,
@@ -427,20 +429,16 @@ def check_square_well_structure() -> CheckResult:
     t0 = time.perf_counter()
     cfg = WellConfig(ParticleModel.natural(), v0=4.0, x0=1.0)
     rng = np.random.Generator(np.random.Philox(_CHECK_SEED))
-    pair_err = 0.0
-    walls_exact = True
+    members = pair_member(cfg, rng.uniform(0.0, cfg.k0, 1000))
+    pair_err, pair_tol, _ = member_pairing(cfg, members)
     edges = np.array([-cfg.x0, cfg.x0])
-    for k1 in rng.uniform(0.0, cfg.k0, 1000):
-        member = pair_member(cfg, float(k1))
-        pair_err = max(pair_err, abs(member.k1**2 + member.k2**2 - cfg.pair_constant))
-        wall_vals = member_wavefunction(member, cfg, edges)
-        outer_vals = member.chi0 * np.exp(-member.k2 * np.abs(edges))
-        walls_exact &= bool(np.array_equal(wall_vals, outer_vals))
+    outer_vals = members.chi0[:, None] * np.exp(-members.k2[:, None] * np.abs(edges))
+    walls_exact = bool(np.array_equal(member_wavefunction(members, cfg, edges), outer_vals))
     grid = Grid1D(-8.0, 8.0, 1601)
     profile = well_ensemble_density(cfg, grid)
-    even_err = float(np.abs(profile.values - profile.values[::-1]).max())
+    even_err, even_tol, _ = density_parity(cfg, profile)
     norm_err = abs(integrate_real(profile.values, grid.spacing) - 1.0)
-    ok = pair_err <= 1e-12 and walls_exact and even_err <= 1e-10 and norm_err <= 1e-8
+    ok = pair_err <= pair_tol and walls_exact and even_err <= even_tol and norm_err <= 1e-8
     detail = (
         f"pairing error {pair_err:.3e}, walls bitwise continuous {walls_exact}, "
         f"parity error {even_err:.3e}, norm error {norm_err:.3e}, "

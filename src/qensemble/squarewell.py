@@ -72,51 +72,85 @@ class WellConfig:
 
 @dataclass(frozen=True)
 class WellMember:
-    """One piecewise member: interior wavenumber, decay constant, amplitude."""
+    """Piecewise members: interior wavenumber, decay constant, amplitude.
 
-    k1: float
-    k2: float
-    chi0: float
+    Each field is a float for one member, or an array with one entry per member.
+    """
+
+    k1: float | ArrayF
+    k2: float | ArrayF
+    chi0: float | ArrayF
 
 
-def member_amplitude_well(cfg: WellConfig, k1: float, k2: float) -> float:
+def member_amplitude_well(cfg: WellConfig, k1, k2):
     """Member amplitude sqrt(m k2/(1 + k2 x0)) * exp(k2 x0) * cos(k1 x0)."""
     m, x0 = cfg.particle.mass, cfg.x0
-    if k2 < 0.0:
+    if np.any(k2 < 0.0):
         raise ValueError("decay constant k2 must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
         amp = np.sqrt(m * k2 / (1.0 + k2 * x0)) * np.exp(k2 * x0) * np.cos(k1 * x0)
-    if not np.isfinite(amp):
+    if not np.all(np.isfinite(amp)):
         raise ValueError(
-            f"member amplitude overflows at k2 x0 = {k2 * x0:.6g}: well depth "
+            f"member amplitude overflows at k2 x0 = {np.max(k2 * x0):.6g}: well depth "
             f"v0 = {cfg.v0:g} is too deep for half width x0 = {x0:g}"
         )
-    return float(amp)
+    return amp
 
 
-def pair_member(cfg: WellConfig, k1: float, resonance_tol: float = 1e-6) -> WellMember:
-    """Build the member with interior wavenumber k1.
+def _paired_wavenumber(cfg: WellConfig, k):
+    """Paired wavenumber sqrt(pair_constant - k^2), held at 0 where rounding crosses zero."""
+    return np.sqrt(np.maximum(cfg.pair_constant - k * k, 0.0))
 
-    The decay constant follows from the pairing k1^2 + k2^2 =
-    (m/hbar^2) v0.  Members with |cos(k1 x0)| below resonance_tol are
-    rejected with ResonantMemberError.
+
+def resonant_members(cfg: WellConfig, k1, resonance_tol: float):
+    """Mask of the interior wavenumbers with |cos(k1 x0)| below resonance_tol."""
+    return np.abs(np.cos(k1 * cfg.x0)) < resonance_tol
+
+
+def pair_member(cfg: WellConfig, k1, resonance_tol: float = 1e-6) -> WellMember:
+    """Build the members with interior wavenumbers k1, a scalar or an array.
+
+    The decay constants follow from the pairing k1^2 + k2^2 =
+    (m/hbar^2) v0.  Every k1 must lie in [0, k0], and one with
+    |cos(k1 x0)| below resonance_tol raises ResonantMemberError.  A scalar
+    k1 gives float fields, an array gives arrays of its shape.
     """
-    if not np.isfinite(k1) or k1 < 0.0 or k1 > cfg.k0:
+    k1 = np.asarray(k1, dtype=np.float64)
+    if not np.all(np.isfinite(k1) & (k1 >= 0.0) & (k1 <= cfg.k0)):
         raise ValueError("k1 must lie in [0, k0]")
-    k2 = float(np.sqrt(cfg.pair_constant - k1 * k1))
-    if abs(np.cos(k1 * cfg.x0)) < resonance_tol:
-        raise ResonantMemberError(f"member k1 = {k1} sits on an interior-cosine zero")
-    return WellMember(k1=k1, k2=k2, chi0=member_amplitude_well(cfg, k1, k2))
+    k2 = _paired_wavenumber(cfg, k1)
+    resonant = resonant_members(cfg, k1, resonance_tol)
+    if np.any(resonant):
+        raise ResonantMemberError(f"member k1 = {k1[resonant][0]} sits on an interior-cosine zero")
+    chi0 = member_amplitude_well(cfg, k1, k2)
+    if k1.ndim == 0:
+        return WellMember(k1=float(k1), k2=float(k2), chi0=float(chi0))
+    return WellMember(k1=k1, k2=k2, chi0=chi0)
+
+
+def member_pairing(cfg: WellConfig, member: WellMember) -> tuple[float, float, str]:
+    """Pairing oracle: max |k1^2 + k2^2 - pair_constant| over the members.
+
+    Returns (value, tolerance, unit), the value 0 for no members.  k2 =
+    sqrt(P - k1^2) and the sum round to within 2.5 eps P of P =
+    pair_constant, so the tolerance is max(1e-12, 3 eps P).
+    """
+    err = np.abs(np.square(member.k1) + np.square(member.k2) - cfg.pair_constant)
+    tol = max(1e-12, 3.0 * np.finfo(float).eps * cfg.pair_constant)
+    return float(np.max(err, initial=0.0)), tol, "absolute"
 
 
 def member_wavefunction(member: WellMember, cfg: WellConfig, x) -> ArrayF:
-    """Piecewise member wavefunction, continuous at both walls.
+    """Piecewise member wavefunctions, continuous at both walls.
 
     chi0 e^{k2 x} left of the well, chi0 e^{-k2 x0} cos(k1 x)/cos(k1 x0)
-    inside, chi0 e^{-k2 x} to the right.
+    inside, chi0 e^{-k2 x} to the right.  The member's fields broadcast
+    over x: the result has shape np.shape(member.k1) + np.shape(x).
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    k1, k2, chi0, x0 = member.k1, member.k2, member.chi0, cfg.x0
+    lead = np.shape(member.k1) + (1,) * x_arr.ndim
+    k1, k2, chi0 = (np.reshape(v, lead) for v in (member.k1, member.k2, member.chi0))
+    x0 = cfg.x0
     # grouping the cosine ratio keeps the wall nodes bitwise equal to the
     # outer branch: cos(k1 x0)/cos(k1 x0) is exactly 1.0
     inside = chi0 * np.exp(-k2 * x0) * (np.cos(k1 * x_arr) / np.cos(k1 * x0))
@@ -189,8 +223,22 @@ def well_ensemble_density(
     nodes are excluded from the interior quadrature and their k-measure is
     reported.  The result is even in x and renormalized on the grid.
     """
+    rho, excluded_measure, excluded_count = _raw_density(cfg, grid.points(), n_k, resonance_tol)
+    norm = integrate_real(rho, grid.spacing)
+    if norm <= 0.0:
+        raise ValueError("ensemble density vanished on the grid")
+    return WellDensityResult(
+        grid=grid,
+        values=rho / norm,
+        excluded_k_measure=excluded_measure,
+        excluded_node_count=excluded_count,
+        norm_constant=float(norm),
+    )
+
+
+def _raw_density(cfg: WellConfig, x: ArrayF, n_k: int, resonance_tol: float) -> tuple[ArrayF, float, int]:
+    """Unnormalized density at the uniform positions x, excluded k-measure and node count."""
     m, x0 = cfg.particle.mass, cfg.x0
-    x = grid.points()
     ax = np.abs(x)
     rho = np.zeros(x.shape)
 
@@ -198,17 +246,16 @@ def well_ensemble_density(
     k1 = _spectral_nodes(0.0, cfg.k0, n_k)
     dk1 = k1[1] - k1[0]
     w1 = _simpson_weights(k1.size, dk1)
-    k2_of_k1 = np.sqrt(cfg.pair_constant - k1 * k1)
-    cos_wall = np.cos(k1 * x0)
-    keep = np.abs(cos_wall) >= resonance_tol
-    if not np.any(keep):
+    k2_of_k1 = _paired_wavenumber(cfg, k1)
+    resonant = resonant_members(cfg, k1, resonance_tol)
+    if np.all(resonant):
         raise ValueError("resonance_tol excludes every interior member")
-    excluded_measure = float(np.sum(w1[~keep]))
-    excluded_count = int(np.count_nonzero(~keep))
+    excluded_measure = float(np.sum(w1[resonant]))
+    excluded_count = int(np.count_nonzero(resonant))
     # member amplitude squared times its interior envelope, combined in one
     # expression: the bare exp(+2 k2 x0) inside chi0^2 overflows for deep
     # wells, the product never does.
-    scale_in = np.where(keep, m * k2_of_k1 / (1.0 + k2_of_k1 * x0), 0.0)
+    scale_in = np.where(resonant, 0.0, m * k2_of_k1 / (1.0 + k2_of_k1 * x0))
     inner = ax <= x0
     if np.any(inner):
         # cos^2(k x) = (1 + Re e^{2ikx}) / 2 over the contiguous run of inner
@@ -221,20 +268,29 @@ def well_ensemble_density(
     k2 = _spectral_nodes(0.0, cfg.k0_prime, n_k)
     dk2 = k2[1] - k2[0]
     w2 = _simpson_weights(k2.size, dk2)
-    k1_of_k2 = np.sqrt(cfg.pair_constant - k2 * k2)
+    k1_of_k2 = _paired_wavenumber(cfg, k2)
     scale_out = m * k2 / (1.0 + k2 * x0) * np.cos(k1_of_k2 * x0) ** 2
     outer = ax > x0
     if np.any(outer):
         # exp(-2 (|x| - x0) k2) summed over k2 = m dk2
         rho[outer] = _decay_sum(w2 * scale_out, dk2, 2.0 * (ax[outer] - x0))
+    return rho, excluded_measure, excluded_count
 
-    norm = integrate_real(rho, grid.spacing)
-    if norm <= 0.0:
-        raise ValueError("ensemble density vanished on the grid")
-    return WellDensityResult(
-        grid=grid,
-        values=rho / norm,
-        excluded_k_measure=excluded_measure,
-        excluded_node_count=excluded_count,
-        norm_constant=float(norm),
-    )
+
+def density_parity(
+    cfg: WellConfig, profile: WellDensityResult, n_k: int = 2001, resonance_tol: float = 1e-6
+) -> tuple[float, float, str]:
+    """Parity oracle: max |rho(x) - rho(-x)| on the profile's grid.
+
+    Returns (value, tolerance, unit).  On a grid that is its own mirror
+    rho(-x) is the profile reversed.  Otherwise the density is evaluated at
+    exactly -x, with the same n_k and resonance_tol, and divided by this
+    profile's norm_constant: a node within rounding of a wall falls on the
+    same side of it both times, and Simpson's end correction, which is not
+    symmetric for an even node count, stays out of the comparison.
+    """
+    g = profile.grid
+    mirrored = profile.values[::-1]
+    if g.x_min != -g.x_max:
+        mirrored = _raw_density(cfg, -g.points()[::-1], n_k, resonance_tol)[0][::-1] / profile.norm_constant
+    return float(np.abs(profile.values - mirrored).max()), 1e-10, "absolute"

@@ -27,7 +27,8 @@ from qensemble.cli import (
     main,
 )
 from qensemble.optics import formalism_agreement, visibility
-from qensemble.squarewell import pair_member
+from qensemble.acceptance import ALL_CHECKS, run_checks
+from qensemble.squarewell import pair_member, well_ensemble_density
 
 CHEAP_ARGS = {
     "ensemble": ["--set", "n_r=41", "--set", "r_max=4.0"],
@@ -439,6 +440,28 @@ class TestScaledOracles:
         assert not json.loads(stdout)["oracle_deltas"]["member_pairing"]["within"]
 
 
+class TestWellParity:
+    @pytest.mark.parametrize("n_x", ["1601", "1600"])
+    def test_asymmetric_grid_passes(self, n_x, capsys, tmp_path):
+        argv = ["well", "--set", "x_min=0", "--set", f"n_x={n_x}", "--out", str(tmp_path / "w.csv")]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0
+        assert json.loads(stdout)["oracle_deltas"]["density_parity"]["within"]
+
+    @pytest.mark.parametrize("x_min", ["-8", "0"])
+    def test_odd_component_exits_two(self, x_min, capsys, tmp_path, monkeypatch):
+        def perturbed(cfg, grid, **kwargs):
+            profile = well_ensemble_density(cfg, grid, **kwargs)
+            x = grid.points()
+            return dataclasses.replace(profile, values=profile.values + 1e-8 * x * np.exp(-x * x))
+
+        monkeypatch.setattr(cli, "well_ensemble_density", perturbed)
+        argv = ["well", "--set", f"x_min={x_min}", "--out", str(tmp_path / "w.csv")]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 2
+        assert not json.loads(stdout)["oracle_deltas"]["density_parity"]["within"]
+
+
 class TestSelftest:
     def test_selftest_is_green_and_deterministic(self, capsys):
         code1, out1, _ = run(["selftest"], capsys)
@@ -448,6 +471,19 @@ class TestSelftest:
         lines = out1.strip().splitlines()
         assert lines[-1] == "selftest: 20 checks, 20 passed, 0 failed"
         assert all(line.startswith("PASS ") for line in lines[:-1])
+
+    def test_timings_add_one_duration_per_check(self, capsys):
+        code, plain, _ = run(["selftest"], capsys)
+        assert code == 0
+        assert plain == "".join(f"{r.line}\n" for r in run_checks()) + "selftest: 20 checks, 20 passed, 0 failed\n"
+        code, timed, _ = run(["selftest", "--timings"], capsys)
+        assert code == 0
+        lines = timed.splitlines()
+        assert lines[:21] == plain.splitlines()
+        assert len(lines) == 41
+        for (name, _), line in zip(ALL_CHECKS, lines[21:]):
+            prefix, seconds, unit = line.rsplit(" ", 2)
+            assert prefix == f"time {name}:" and unit == "s" and float(seconds) >= 0.0
 
 
 def _param_values(scenario, fixed):
@@ -479,7 +515,7 @@ class TestExitContract:
 
     @pytest.mark.parametrize(
         "scenario,fixed",
-        [("eraser", {}), ("bomb", {}), ("spread", {"packet": "single_mode"})],
+        [("eraser", {}), ("bomb", {}), ("spread", {"packet": "single_mode"}), ("well", {})],
     )
     def test_any_parameters_keep_the_exit_contract(self, scenario, fixed):
         @settings(max_examples=50, deadline=None, derandomize=True, database=None)

@@ -11,8 +11,11 @@ from qensemble.numerics import Grid1D, integrate_real
 from qensemble.squarewell import (
     ResonantMemberError,
     WellConfig,
+    WellMember,
     bound_state_residual,
+    density_parity,
     is_bound_state_member,
+    member_pairing,
     member_wavefunction,
     normalization_audit,
     pair_member,
@@ -77,6 +80,60 @@ class TestPairMember:
         with pytest.raises(ValueError, match="v0 = 1e\\+06"):
             pair_member(default_config(v0=1e6), 0.5)
 
+    @pytest.mark.parametrize("seed,count", [(7, 100), (11, 200)])
+    def test_array_equals_per_entry_calls(self, seed, count):
+        cfg = default_config()
+        k1 = np.random.Generator(np.random.Philox(seed)).uniform(0.0, cfg.k0, count)
+        members = pair_member(cfg, k1)
+        assert members.k1.shape == members.k2.shape == members.chi0.shape == (count,)
+        singles = [pair_member(cfg, float(k)) for k in k1]
+        assert all(isinstance(m.k2, float) and isinstance(m.chi0, float) for m in singles)
+        assert np.array_equal(members.k1, k1)
+        assert np.array_equal(members.k2, [m.k2 for m in singles])
+        assert np.array_equal(members.chi0, [m.chi0 for m in singles])
+
+    def test_array_with_one_resonant_entry_rejected(self):
+        cfg = default_config(e_total=3.0)
+        with pytest.raises(ResonantMemberError, match="1.5707963267948966"):
+            pair_member(cfg, np.array([0.3, math.pi / 2.0, 1.0]))
+
+    def test_array_with_one_out_of_range_entry_rejected(self):
+        cfg = default_config()
+        with pytest.raises(ValueError, match="k1 must lie in"):
+            pair_member(cfg, np.array([0.2, 0.5, cfg.k0 + 0.1]))
+
+    def test_overflowing_array_rejected(self):
+        with pytest.raises(ValueError, match="v0 = 1e\\+06"):
+            pair_member(default_config(v0=1e6), np.linspace(0.0, 1.0, 5))
+
+
+class TestPairingOracle:
+    def test_tolerance_scales_with_pair_constant(self):
+        small = default_config()
+        deep = default_config(v0=1e4)
+        assert member_pairing(small, pair_member(small, np.array([0.5])))[1:] == (1e-12, "absolute")
+        assert member_pairing(deep, pair_member(deep, np.array([0.5])))[1] == 3.0 * np.finfo(float).eps * 1e4
+
+    def test_value_is_largest_pairing_error(self):
+        cfg = default_config(v0=1e4)
+        k1 = np.linspace(0.0, cfg.k0, 102)[1:-1]
+        members = pair_member(cfg, k1)
+        value, tol, _ = member_pairing(cfg, members)
+        assert value == max(abs(k**2 + pair_member(cfg, float(k)).k2 ** 2 - cfg.pair_constant) for k in k1)
+        assert value <= tol
+
+    def test_perturbed_member_breaches(self):
+        cfg = default_config()
+        members = pair_member(cfg, np.linspace(0.1, 0.9, 9))
+        k2 = members.k2.copy()
+        k2[4] *= 1.0 + 1e-9
+        value, tol, _ = member_pairing(cfg, WellMember(members.k1, k2, members.chi0))
+        assert value > tol
+
+    def test_no_members_give_zero(self):
+        cfg = default_config()
+        assert member_pairing(cfg, pair_member(cfg, np.array([])))[0] == 0.0
+
 
 class TestMemberWavefunction:
     def test_walls_match_bitwise(self):
@@ -88,6 +145,21 @@ class TestMemberWavefunction:
             inner_vals = member_wavefunction(member, cfg, edges)
             outer_vals = member.chi0 * np.exp(-member.k2 * np.abs(edges))
             assert np.array_equal(inner_vals, outer_vals)
+
+    def test_array_equals_per_member_calls(self):
+        cfg = default_config()
+        k1 = np.random.Generator(np.random.Philox(11)).uniform(0.0, cfg.k0, 200)
+        x = np.concatenate([[-cfg.x0, cfg.x0], np.linspace(-3.0, 3.0, 61)])
+        values = member_wavefunction(pair_member(cfg, k1), cfg, x)
+        assert values.shape == (200, x.size)
+        expected = [member_wavefunction(pair_member(cfg, float(k)), cfg, x) for k in k1]
+        assert np.array_equal(values, expected)
+
+    def test_scalar_member_keeps_the_shape_of_x(self):
+        cfg = default_config()
+        member = pair_member(cfg, 0.6)
+        assert member_wavefunction(member, cfg, np.zeros((3, 4))).shape == (3, 4)
+        assert member_wavefunction(member, cfg, 0.5).shape == ()
 
     def test_exterior_decay(self):
         cfg = default_config()
@@ -143,6 +215,24 @@ class TestEnsembleDensity:
         assert np.all(profile.values >= 0.0)
         assert profile.excluded_k_measure == 0.0
         assert profile.excluded_node_count == 0
+
+    @pytest.mark.parametrize(
+        "x_min,x_max,n",
+        [(0.0, 8.0, 1601), (0.0, 8.0, 1600), (-3.0, 8.0, 1201), (-8.0, 1.0 / 3.0, 1601)],
+    )
+    def test_parity_on_asymmetric_grids(self, x_min, x_max, n):
+        # x0 = 1/3: the last grid puts a node 1.2e-15 inside the left wall,
+        # where the density jumps, so its mirror must sit exactly as far
+        # inside the right wall
+        cfg = default_config(x0=1.0 / 3.0)
+        profile = well_ensemble_density(cfg, Grid1D(x_min, x_max, n))
+        value, tol, unit = density_parity(cfg, profile)
+        assert value <= tol and (tol, unit) == (1e-10, "absolute")
+
+    def test_parity_on_symmetric_grid_is_the_reversed_profile(self):
+        cfg = default_config()
+        profile = well_ensemble_density(cfg, Grid1D(-8.0, 8.0, 1601))
+        assert density_parity(cfg, profile)[0] == np.abs(profile.values - profile.values[::-1]).max()
 
     def test_resonance_exclusion_reported(self):
         # k0 = sqrt(3) > pi/2, so the quadrature straddles a cosine zero
