@@ -23,17 +23,16 @@ from typing import Callable
 
 import numpy as np
 
+from . import ensemble, optics, wavepacket
 from .acceptance import run_checks
 from .ensemble import (
     KineticConvention,
     ParticleModel,
     PotentialSpec,
-    Regime,
     allowed_k_range,
     apply_retarding_filter,
     collapse_fraction,
     member_amplitude,
-    parseval_norm,
     potential_wavefunction,
 )
 from .numerics import Grid1D, KBall, SingleMode, integrate_real, superpose_field
@@ -43,7 +42,6 @@ from .optics import (
     efficiency_account,
     formalism_agreement,
     mz_probabilities,
-    visibility,
 )
 from .squarewell import (
     WellConfig,
@@ -56,7 +54,6 @@ from .squarewell import (
 from .wavepacket import (
     DispersionLaw,
     GaussianPacket,
-    closed_form_density,
     propagate,
     truncation_bound,
 )
@@ -364,12 +361,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
                 "relative",
             )
     free_hi = allowed_k_range(p, 0.0, convention).k_hi
-    norm_expected = 4.0 * np.pi * p.mass * free_hi**3 / 3.0
-    res.oracle_deltas["flat_spectral_norm"] = (
-        abs(parseval_norm(p, free_hi) - norm_expected) / norm_expected,
-        1e-8,
-        "relative",
-    )
+    res.oracle_deltas["flat_spectral_norm"] = ensemble.flat_norm_deviation(p, free_hi)
     if not origin_included:
         res.notes.append("origin oracle skipped: grid does not include r = 0")
     return res
@@ -388,15 +380,9 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
     kinds = ("gaussian", "single_mode") if params["packet"] == "both" else (params["packet"],)
     if "gaussian" in kinds:
         packet = GaussianPacket(b=params["b"], k0=params["k0"])
-        worst = 0.0
-        for t in times:
-            dens = propagate(packet, t, grid, law, n_k=n_k).density()
-            res.columns.append((f"density_gaussian[t={t:g}]", "1/length", dens))
-            # the symmetric Fourier normalization puts 1/b^2 on the unit-peak form
-            ref = closed_form_density(packet, x, t, law, mode="textbook") / packet.b**2
-            mask = ref >= 1e-8 * float(ref.max())
-            worst = max(worst, float(np.abs((dens[mask] - ref[mask]) / ref[mask]).max()))
-        res.oracle_deltas["gaussian_vs_closed_form"] = (worst, 1e-4, "relative")
+        runs = [(t, x, propagate(packet, t, grid, law, n_k=n_k).density()) for t in times]
+        res.columns += [(f"density_gaussian[t={t:g}]", "1/length", dens) for t, _, dens in runs]
+        res.oracle_deltas["gaussian_vs_closed_form"] = wavepacket.spreading_deviation(packet, runs, law)
         res.outputs["truncation_bound"] = _q(truncation_bound(packet), "dimensionless")
         res.notes.append("gaussian oracle compares nodes above 1e-8 of the peak closed-form density")
     if "single_mode" in kinds:
@@ -498,28 +484,14 @@ def _run_eraser(params: dict, seed: int) -> ScenarioResult:
     )
     res = ScenarioResult(geometry="polarization_optics")
     res.columns.append(("phase", "radian", report.phases))
-    vis_err = 0.0
-    # the sweep reaches phase pi, where 1 + cos vanishes, only for even n_phases
-    fringe = visibility(1.0 + np.cos(report.phases))
-    targets = {"baseline": fringe, "rotator_in_path1": 0.0, "rotator_plus_diagonal": fringe}
-    for stage, target in targets.items():
+    for stage in report.field_curves:
         res.columns.append((f"intensity_fields[{stage}]", "intensity", report.field_curves[stage]))
         res.columns.append((f"intensity_state[{stage}]", "intensity", report.state_curves[stage]))
         res.outputs[f"visibility_fields[{stage}]"] = _q(report.field_visibility[stage], "dimensionless")
         res.outputs[f"visibility_state[{stage}]"] = _q(report.state_visibility[stage], "dimensionless")
-        vis_err = max(
-            vis_err,
-            abs(report.field_visibility[stage] - target),
-            abs(report.state_visibility[stage] - target),
-        )
     res.outputs["route_constant"] = _q(report.constant, "dimensionless")
-    res.oracle_deltas["visibility_targets"] = (vis_err, 1e-12, "absolute")
-    # rounding in the field route grows with its intensities, which scale with the constant
-    res.oracle_deltas["route_proportionality"] = (
-        report.max_abs_deviation / max(1.0, report.constant),
-        1e-12,
-        "relative to max(1, route_constant)",
-    )
+    res.oracle_deltas["visibility_targets"] = optics.visibility_targets(report)
+    res.oracle_deltas["route_proportionality"] = optics.route_proportionality(report)
     return res
 
 
@@ -555,12 +527,7 @@ def _run_bomb(params: dict, seed: int) -> ScenarioResult:
         1e-15,
         "absolute",
     )
-    worst_z = 0.0
-    for key, prob in ledger.expected.items():
-        spread = np.sqrt(ledger.n_trials * prob * (1.0 - prob))
-        if spread > 0.0:
-            worst_z = max(worst_z, abs(ledger.counts[key] - ledger.n_trials * prob) / spread)
-    res.oracle_deltas["count_deviation_sigma"] = (worst_z, 4.0, "sigma")
+    res.oracle_deltas["count_deviation_sigma"] = optics.count_deviation(ledger)
     res.notes.append(
         "count guard band is 4 sigma so reseeded runs rarely trip it; the 3 sigma "
         "requirement at the default seed is enforced by selftest"

@@ -291,6 +291,12 @@ def parseval_norm(p: ParticleModel, k: float, n_k: int = 2001) -> float:
     return float(4.0 * np.pi * integrate_real(dens * q * q, q[1] - q[0]))
 
 
+def flat_norm_deviation(p: ParticleModel, k: float) -> tuple[float, float, str]:
+    """Norm oracle: relative error of parseval_norm(p, k) against its closed form 4 pi m k^3 / 3."""
+    expected = 4.0 * np.pi * p.mass * k**3 / 3.0
+    return abs(parseval_norm(p, k) - expected) / expected, 1e-8, "relative"
+
+
 def apply_retarding_filter(
     p: ParticleModel,
     e_rfa: float,
@@ -334,11 +340,6 @@ def collapse_fraction(p: ParticleModel, filtered: FilteredEnsemble, n_k: int = 2
     if total == 0.0:
         raise ValueError("before-range carries no density")
     return shell(after) / total
-
-
-def ensemble_density(psi: ComplexField) -> ArrayF:
-    """Pointwise probability density |psi|^2 of a sampled wavefunction."""
-    return psi.density()
 
 
 def uncertainty_product(

@@ -22,6 +22,9 @@ ArrayC = NDArray[np.complex128]
 
 TWO_PI = 2.0 * np.pi
 
+# Widest grid whose linspace nodes x_min + j (x_max - x_min) / (n - 1) stay finite.
+_MAX_WIDTH = np.finfo(np.float64).max / 2.0
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -36,6 +39,11 @@ class Grid1D:
             raise ValueError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise ValueError("x_max must exceed x_min")
+        if not self.x_max - self.x_min <= _MAX_WIDTH:
+            raise ValueError(
+                f"grid x_min = {self.x_min:g} .. x_max = {self.x_max:g} is wider than half the "
+                f"largest double, so its nodes overflow; narrow the bounds"
+            )
         if self.n < 2:
             raise ValueError("grid needs at least 2 nodes")
 
@@ -198,26 +206,6 @@ def _decay_sum(wts, dk: float, d) -> NDArray:
     return np.sum(giant * (baby @ coef.reshape(n_p, b).T), axis=1)
 
 
-def integrate_1d(field: ComplexField) -> complex:
-    """Integrate a sampled field over its grid by composite Simpson.
-
-    Parameters
-    ----------
-    field : ComplexField
-        Uniform samples; at least two nodes, all finite.
-
-    Returns
-    -------
-    complex
-        The approximate integral, O(h^4) accurate for smooth integrands.
-    """
-    vals = field.values
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-        raise ValueError("field values must be finite")
-    w = _simpson_weights(field.grid.n, field.grid.spacing)
-    return complex(np.dot(w, vals))
-
-
 def integrate_real(values: ArrayF, spacing: float) -> float:
     """Simpson integral of real samples on a uniform grid."""
     vals = np.asarray(values, dtype=np.float64)
@@ -341,31 +329,6 @@ def line_superposition(
     return pref * _synthesize(_simpson_weights(k.size, dk) * amp, lo, dk, x_arr)
 
 
-def superpose(amplitude: Amplitude, domain, x: float, dimension: int, n_k: int = 2001) -> complex:
-    """Synthesize a wavefunction value from a per-wavenumber amplitude.
-
-    Parameters
-    ----------
-    amplitude : callable or SingleMode
-        chi(k); callables must accept an ndarray of wavenumbers.
-    domain : KBall or (k_lo, k_hi)
-        Wavevector domain; a ball for dimension 3, an interval for 1.
-    x : float
-        Position (radius for dimension 3).
-    dimension : int
-        1 or 3.
-    n_k : int
-        Node count for 1-D interval quadrature (balls carry their own).
-    """
-    if dimension == 3:
-        if not isinstance(domain, KBall):
-            raise ValueError("dimension 3 requires a KBall domain")
-        return complex(radial_superposition(amplitude, domain, x)[0])
-    if dimension == 1:
-        return complex(line_superposition(amplitude, domain, x, n_k=n_k)[0])
-    raise ValueError("dimension must be 1 or 3")
-
-
 def superpose_field(
     amplitude: Amplitude,
     domain,
@@ -373,7 +336,7 @@ def superpose_field(
     dimension: int,
     n_k: int = 2001,
 ) -> ComplexField:
-    """Vectorized superpose over every node of a grid."""
+    """Synthesize chi(k) at every grid node: over a KBall in 3-D, a (k_lo, k_hi) interval in 1-D."""
     x = grid.points()
     if dimension == 3:
         if not isinstance(domain, KBall):

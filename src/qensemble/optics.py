@@ -161,17 +161,6 @@ class EraserStage(Enum):
     ROTATOR_DIAGONAL = "rotator_plus_diagonal"
 
 
-@dataclass(frozen=True)
-class EraserConfig:
-    """Two-path eraser interferometer at one relative phase."""
-
-    stage: EraserStage = EraserStage.BASELINE
-    phase: float = 0.0
-    e_amp: complex = 1.0
-    b_amp: complex = 1.0
-    c: float = 1.0
-
-
 def _eraser_beams(stage: EraserStage, e_amp: complex, b_amp: complex, c: float) -> list[PolarizedBeam]:
     """The eraser's two paths at relative phase 0."""
     path1, path2 = split_beam(horizontal_beam(e_amp, b_amp, c))
@@ -215,16 +204,6 @@ def _state_sweep(stage: EraserStage, phases: ArrayF) -> ArrayF:
         d = (h + v) / np.sqrt(2.0)
         psi = np.vecdot(d, psi)[:, None] * d
     return np.sum(np.abs(psi) ** 2, axis=1)
-
-
-def eraser_intensity_fields(cfg: EraserConfig) -> float:
-    """Eraser output intensity from the summed vector fields."""
-    return float(_field_sweep(cfg.stage, np.array([cfg.phase]), cfg.e_amp, cfg.b_amp, cfg.c)[0])
-
-
-def eraser_intensity_statevector(cfg: EraserConfig) -> float:
-    """Eraser output intensity from the two-component polarization state."""
-    return float(_state_sweep(cfg.stage, np.array([cfg.phase]))[0])
 
 
 def visibility(curve) -> float:
@@ -294,6 +273,22 @@ def formalism_agreement(
     )
 
 
+def visibility_targets(report: FormalismReport) -> tuple[float, float, str]:
+    """Eraser oracle: worst |visibility - target| over both routes and all stages.
+
+    The target is 0 once path 1 is marked, else the visibility of 1 + cos(phase) on the sampled phases.
+    """
+    fringe = visibility(1.0 + np.cos(report.phases))
+    targets = {EraserStage.BASELINE: fringe, EraserStage.ROTATOR: 0.0, EraserStage.ROTATOR_DIAGONAL: fringe}
+    routes = (report.field_visibility, report.state_visibility)
+    return max(abs(r[s.value] - want) for r in routes for s, want in targets.items()), 1e-12, "absolute"
+
+
+def route_proportionality(report: FormalismReport) -> tuple[float, float, str]:
+    """Eraser oracle: route deviation over max(1, constant), the scale its rounding grows with."""
+    return report.max_abs_deviation / max(1.0, report.constant), 1e-12, "relative to max(1, route_constant)"
+
+
 @dataclass(frozen=True)
 class MZConfig:
     """Symmetric two-splitter interferometer, absorber in the reflected arm."""
@@ -316,9 +311,6 @@ class MZProbabilities:
     bright: float
     dark: float
     absorbed: float
-
-    def as_dict(self) -> dict:
-        return {"bright": self.bright, "dark": self.dark, "absorbed": self.absorbed}
 
 
 def mz_probabilities(cfg: MZConfig) -> MZProbabilities:
@@ -418,3 +410,13 @@ def efficiency_account(cfg: MZConfig, n_trials: int, seed: int = DEFAULT_SEED) -
         expected=expected,
         counts=counts,
     )
+
+
+def count_deviation(ledger: EfficiencyLedger) -> tuple[float, float, str]:
+    """Ledger oracle: worst count z-score over outcomes with positive spread, 4 sigma guard band."""
+    worst = 0.0
+    for key, prob in ledger.expected.items():
+        spread = np.sqrt(ledger.n_trials * prob * (1.0 - prob))
+        if spread > 0.0:
+            worst = max(worst, abs(ledger.counts[key] - ledger.n_trials * prob) / spread)
+    return worst, 4.0, "sigma"

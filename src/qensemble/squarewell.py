@@ -287,10 +287,14 @@ def density_parity(
     exactly -x, with the same n_k and resonance_tol, and divided by this
     profile's norm_constant: a node within rounding of a wall falls on the
     same side of it both times, and Simpson's end correction, which is not
-    symmetric for an even node count, stays out of the comparison.
+    symmetric for an even node count, stays out of the comparison.  Both
+    sides carry rounding relative to the peak, so the tolerance is 1e-10
+    max(1, peak): 1e-10 wherever the normalized density peaks at or
+    below 1.
     """
     g = profile.grid
     mirrored = profile.values[::-1]
     if g.x_min != -g.x_max:
         mirrored = _raw_density(cfg, -g.points()[::-1], n_k, resonance_tol)[0][::-1] / profile.norm_constant
-    return float(np.abs(profile.values - mirrored).max()), 1e-10, "absolute"
+    tol = 1e-10 * max(1.0, float(profile.values.max()))
+    return float(np.abs(profile.values - mirrored).max()), tol, "absolute"

@@ -31,10 +31,6 @@ from .numerics import (
     _synthesize,
 )
 
-# Multiplies every dispersion evaluation; self checks corrupt it to prove
-# the spread criteria actually watch the dispersion chain.
-_DISPERSION_SCALE = 1.0
-
 
 @dataclass(frozen=True)
 class GaussianPacket:
@@ -64,15 +60,11 @@ class DispersionLaw:
         if self.mass <= 0.0 or self.hbar <= 0.0:
             raise ValueError("mass and hbar must be positive")
 
-    @classmethod
-    def from_particle(cls, p: ParticleModel) -> "DispersionLaw":
-        return cls(mass=p.mass, hbar=p.hbar)
-
     def omega(self, k) -> ArrayF:
-        return _DISPERSION_SCALE * self.hbar * np.asarray(k, dtype=np.float64) ** 2 / (2.0 * self.mass)
+        return self.hbar * np.asarray(k, dtype=np.float64) ** 2 / (2.0 * self.mass)
 
     def group_velocity(self, k) -> ArrayF:
-        return _DISPERSION_SCALE * self.hbar * np.asarray(k, dtype=np.float64) / self.mass
+        return self.hbar * np.asarray(k, dtype=np.float64) / self.mass
 
 
 @dataclass(frozen=True)
@@ -94,8 +86,18 @@ def packet_spectrum(packet: InitialPacket):
     return GaussianSpectrum(b=packet.b, k0=packet.k0)
 
 
+# Bound on b and on the window half-width 8/b, both of which the spectrum squares:
+# half of sqrt(largest double), so the squares stay finite with room for rounding.
+_MAX_SQUARED = math.sqrt(np.finfo(np.float64).max) / 2.0
+
+
 def spectral_window(packet: GaussianPacket) -> tuple[float, float]:
     """Truncated spectral support [k0 - 8/b, k0 + 8/b]."""
+    if not max(packet.b, 8.0 / packet.b) <= _MAX_SQUARED:
+        raise ValueError(
+            f"the gaussian spectrum overflows for b = {packet.b:g}; "
+            f"keep b within {8.0 / _MAX_SQUARED:.3g} .. {_MAX_SQUARED:.3g}"
+        )
     lo, hi = packet.k0 - 8.0 / packet.b, packet.k0 + 8.0 / packet.b
     if not lo < hi:
         raise ValueError(
@@ -159,7 +161,11 @@ def propagate(
     n = n_k if n_k is not None else _auto_nodes(packet, t, grid, disp)
     k = _spectral_nodes(lo, hi, n)
     dk = k[1] - k[0]
-    wts = _simpson_weights(k.size, dk) * spec(k) * np.exp(-1j * disp.omega(k) * t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        turn = np.exp(-1j * disp.omega(k) * t)
+    if not np.isfinite(turn).all():
+        raise ValueError(f"phase omega(k) t overflows for k0 = {packet.k0:g}, b = {packet.b:g}, t = {t:g}")
+    wts = _simpson_weights(k.size, dk) * spec(k) * turn
     return ComplexField(grid, (2.0 * np.pi) ** -0.5 * _synthesize(wts, lo, dk, x))
 
 
@@ -185,10 +191,29 @@ def closed_form_density(
     b, k0 = packet.b, packet.k0
     tau = disp.hbar * t / (disp.mass * b * b)
     s = 1.0 + tau * tau
+    if not math.isfinite(s):
+        raise ValueError(f"broadening factor 1 + (hbar t / m b^2)^2 overflows for t = {t:g}, b = {b:g}")
     xi = x_arr - disp.hbar * k0 * t / disp.mass
-    if mode == "textbook":
-        return s**-0.5 * np.exp(-(xi * xi) / (b * b * s))
-    return s**-1.0 * np.exp(-(xi * xi) / (b * b * s * s))
+    # a square past the largest double is an exponent of -inf: density 0
+    with np.errstate(over="ignore"):
+        if mode == "textbook":
+            return s**-0.5 * np.exp(-(xi * xi) / (b * b * s))
+        return s**-1.0 * np.exp(-(xi * xi) / (b * b * s * s))
+
+
+def spreading_deviation(packet: GaussianPacket, runs, dispersion=None) -> tuple[float, float, str]:
+    """Spreading oracle: worst relative deviation of (t, x, density) runs from the textbook form.
+
+    The form carries 1/b^2 (symmetric Fourier normalization); nodes below 1e-8 of its peak are skipped.
+    """
+    worst = 0.0
+    for t, x, density in runs:
+        ref = closed_form_density(packet, x, t, dispersion) / packet.b**2
+        if not ref.max() > 0.0:
+            raise ValueError(f"b = {packet.b:g} leaves no density on x_min = {x[0]:g} .. x_max = {x[-1]:g}")
+        mask = ref >= 1e-8 * float(ref.max())
+        worst = max(worst, float(np.abs((density[mask] - ref[mask]) / ref[mask]).max()))
+    return worst, 1e-4, "relative"
 
 
 def intrinsic_potential(amplitude, p: ParticleModel, k: float) -> ArrayF:
@@ -213,26 +238,14 @@ def intrinsic_force(amplitude, p: ParticleModel, k: float, spacing: float) -> Ar
     return -pref * pair
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Result of the amplitude-equilibrium residual check."""
-
-    max_residual: float
-    threshold: float
-
-    @property
-    def in_equilibrium(self) -> bool:
-        return self.max_residual <= self.threshold
-
-
-def equilibrium_check(amplitude, spacing: float, threshold: float = 1e-8) -> EquilibriumReport:
+def equilibrium_check(amplitude, spacing: float) -> float:
     """Max-norm of psi* grad psi + c.c.; zero exactly for constant envelopes."""
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     psi = np.asarray(amplitude, dtype=np.complex128)
     grad = np.gradient(psi, spacing)
     residual = np.abs((np.conj(psi) * grad).real * 2.0)
-    return EquilibriumReport(max_residual=float(residual.max()), threshold=threshold)
+    return float(residual.max())
 
 
 @dataclass(frozen=True)

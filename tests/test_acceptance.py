@@ -5,9 +5,9 @@ pass/fail line per criterion; the check's own detail string is printed and
 attached to any failure.
 """
 
+import numpy as np
 import pytest
 
-import qensemble.wavepacket as wavepacket
 from qensemble.acceptance import (
     ALL_CHECKS,
     CRITERION_CHECKS,
@@ -15,6 +15,7 @@ from qensemble.acceptance import (
     CheckResult,
     run_checks,
 )
+from qensemble.wavepacket import DispersionLaw, GaussianPacket, closed_form_density
 
 
 class TestRegistry:
@@ -61,6 +62,12 @@ def test_corrupted_dispersion_fails_only_spread_watchers(monkeypatch):
     forms, so exactly the two checks that compare the two must fail and
     everything else must keep passing.
     """
-    monkeypatch.setattr(wavepacket, "_DISPERSION_SCALE", 2.0)
+    omega, group_velocity = DispersionLaw.omega, DispersionLaw.group_velocity
+    monkeypatch.setattr(DispersionLaw, "omega", lambda law, k: 2.0 * omega(law, k))
+    monkeypatch.setattr(DispersionLaw, "group_velocity", lambda law, k: 2.0 * group_velocity(law, k))
+    law = DispersionLaw()
+    assert law.omega(3.0) == 9.0 and law.group_velocity(3.0) == 6.0
+    # the closed form reads hbar and mass directly, so it stays put
+    assert closed_form_density(GaussianPacket(b=1.0, k0=0.0), np.array([0.0]), 1.0)[0] == 2.0**-0.5
     failed = {r.name for r in run_checks() if not r.passed}
     assert failed == {"gaussian_spreading", "packet_norm_transport"}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qensemble import cli
+from qensemble import cli, ensemble, optics, wavepacket
 from qensemble.cli import (
     RUNNERS,
     SCENARIO_PARAMS,
@@ -109,6 +109,34 @@ class TestValidationPaths:
             (["spread", "--set", "packet=single_mode", "--set", "b=nan"], "parameter 'b' rejects value 'nan'"),
             (["spread", "--set", "n_k=-1"], "parameter 'n_k' must be 0 (automatic)"),
             (["ensemble", "--set", "potentials=0,-inf"], "parameter 'potentials' rejects value '0,-inf'"),
+            (
+                ["spread", "--set", "packet=gaussian", "--set", "x_min=2.00001", "--set", "b=0.003549626833218614",
+                 "--set", "n_k=2001"],
+                "b = 0.00354963 leaves no density on x_min = 2.00001 .. x_max = 25",
+            ),
+            (
+                ["spread", "--set", "packet=gaussian", "--set", "b=5.8e-187", "--set", "k0=1.4e-159", "--set", "n_k=163"],
+                "the gaussian spectrum overflows for b = 5.8e-187",
+            ),
+            (
+                ["spread", "--set", "packet=gaussian", "--set", "b=1.7834593172503262e+174", "--set", "n_k=470"],
+                "the gaussian spectrum overflows for b = 1.78346e+174",
+            ),
+            (
+                ["spread", "--set", "packet=gaussian", "--set", "x_min=3.1107461721572103e-111",
+                 "--set", "x_max=1.7976931348623157e+308", "--set", "n_x=213"],
+                "grid x_min = 3.11075e-111 .. x_max = 1.79769e+308 is wider than half the largest double",
+            ),
+            (
+                ["spread", "--set", "packet=gaussian", "--set", "b=10", "--set", "n_k=113",
+                 "--set", "times=0,-8.774239584959601e+272"],
+                "broadening factor 1 + (hbar t / m b^2)^2 overflows for t = -8.77424e+272, b = 10",
+            ),
+            (
+                ["spread", "--set", "packet=gaussian", "--set", "b=1.5636165044757184e-150",
+                 "--set", "k0=2.0445899274311264e+16", "--set", "n_k=235", "--set", "times=-1.7261142292378744e+16"],
+                "phase omega(k) t overflows for k0 = 2.04459e+16, b = 1.56362e-150, t = -1.72611e+16",
+            ),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -440,13 +468,46 @@ class TestScaledOracles:
         assert not json.loads(stdout)["oracle_deltas"]["member_pairing"]["within"]
 
 
+def _well_parity(overrides, capsys, tmp_path):
+    """Exit code, density_parity delta and density peak of one well run."""
+    out = tmp_path / "w.csv"
+    argv = ["well", "--out", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    code, stdout, _ = run(argv, capsys)
+    peak = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1].max()
+    return code, json.loads(stdout)["oracle_deltas"]["density_parity"], peak
+
+
 class TestWellParity:
     @pytest.mark.parametrize("n_x", ["1601", "1600"])
     def test_asymmetric_grid_passes(self, n_x, capsys, tmp_path):
-        argv = ["well", "--set", "x_min=0", "--set", f"n_x={n_x}", "--out", str(tmp_path / "w.csv")]
-        code, stdout, _ = run(argv, capsys)
+        code, parity, peak = _well_parity(["x_min=0", f"n_x={n_x}"], capsys, tmp_path)
         assert code == 0
-        assert json.loads(stdout)["oracle_deltas"]["density_parity"]["within"]
+        assert parity["within"] and parity["tolerance"] == 1e-10 * max(1.0, peak)
+
+    def test_bound_is_1e_10_where_the_peak_is_below_one(self, capsys, tmp_path):
+        code, parity, peak = _well_parity([], capsys, tmp_path)
+        assert code == 0 and peak < 1.0 and parity["tolerance"] == 1e-10
+
+    @pytest.mark.parametrize("half_width", ["1e-50", "1e-9"])
+    def test_narrow_grid_passes(self, half_width, capsys, tmp_path):
+        code, parity, peak = _well_parity([f"x_min=-{half_width}", f"x_max={half_width}"], capsys, tmp_path)
+        assert code == 0
+        assert peak > 1e8 and parity["tolerance"] == 1e-10 * peak and parity["within"]
+
+    @pytest.mark.parametrize("half_width", ["1e-50", "1e-9"])
+    def test_narrow_grid_odd_component_exits_two(self, half_width, capsys, tmp_path, monkeypatch):
+        def perturbed(cfg, grid, **kwargs):
+            profile = well_ensemble_density(cfg, grid, **kwargs)
+            odd = 1e-8 * profile.values.max() * grid.points() / grid.x_max
+            return dataclasses.replace(profile, values=profile.values + odd)
+
+        monkeypatch.setattr(cli, "well_ensemble_density", perturbed)
+        argv = ["well", "--set", f"x_min=-{half_width}", "--set", f"x_max={half_width}", "--out", str(tmp_path / "w.csv")]
+        code, stdout, _ = run(argv, capsys)
+        assert code == 2
+        assert not json.loads(stdout)["oracle_deltas"]["density_parity"]["within"]
 
     @pytest.mark.parametrize("x_min", ["-8", "0"])
     def test_odd_component_exits_two(self, x_min, capsys, tmp_path, monkeypatch):
@@ -460,6 +521,41 @@ class TestWellParity:
         code, stdout, _ = run(argv, capsys)
         assert code == 2
         assert not json.loads(stdout)["oracle_deltas"]["density_parity"]["within"]
+
+
+def _breaching(oracle):
+    """oracle with its value replaced by ten times its tolerance."""
+
+    def patched(*args, **kwargs):
+        _, tol, unit = oracle(*args, **kwargs)
+        return 10.0 * tol, tol, unit
+
+    return patched
+
+
+class TestSharedOracles:
+    """Each claim's oracle, patched in its home module, fails both its scenario and its selftest check."""
+
+    @pytest.mark.parametrize(
+        "module,oracle,argv,key,check",
+        [
+            (wavepacket, "spreading_deviation", ["spread", "--set", "packet=gaussian"], "gaussian_vs_closed_form",
+             "gaussian_spreading"),
+            (optics, "visibility_targets", ["eraser"], "visibility_targets", "eraser_visibilities"),
+            (optics, "route_proportionality", ["eraser"], "route_proportionality", "eraser_visibilities"),
+            (optics, "count_deviation", ["bomb"], "count_deviation_sigma", "interaction_free_statistics"),
+            (ensemble, "flat_norm_deviation", ["ensemble", *CHEAP_ARGS["ensemble"]], "flat_spectral_norm",
+             "parseval_identity"),
+        ],
+    )
+    def test_patched_oracle_fails_both_callers(self, module, oracle, argv, key, check, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(module, oracle, _breaching(getattr(module, oracle)))
+        code, stdout, _ = run([*argv, "--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 2
+        deltas = json.loads(stdout)["oracle_deltas"]
+        assert {name for name, delta in deltas.items() if not delta["within"]} == {key}
+        (result,) = run_checks([check])
+        assert not result.passed, result.line
 
 
 class TestSelftest:
@@ -510,12 +606,32 @@ def _text(value):
     return value if isinstance(value, str) else repr(value)
 
 
+# gaussian `spread` inputs at the edges of the doubles: a closed-form exponent past the largest double,
+# a grid with no density to compare, a spectrum squaring b or 8/b past it, linspace nodes past it, an
+# overflowing broadening factor and an overflowing phase omega(k) t
+_GAUSSIAN_SPREAD_EXAMPLES = (
+    {"x_min": -9.114878840792833e245, "x_max": -4.908692990719707e-120, "n_k": 108},
+    {"x_min": 2.00001, "b": 0.003549626833218614, "n_k": 2001},
+    {"b": 5.8e-187, "k0": 1.4e-159, "n_k": 163},
+    {"b": 1.7834593172503262e174, "n_k": 470},
+    {"x_min": 3.1107461721572103e-111, "x_max": 1.7976931348623157e308, "n_x": 213},
+    {"b": 10.0, "n_k": 113, "times": [0.0, -8.774239584959601e272]},
+    {"b": 1.5636165044757184e-150, "k0": 2.0445899274311264e16, "n_k": 235, "times": [-1.7261142292378744e16]},
+)
+
+
 class TestExitContract:
     """Any parameter set ends in exit 0, 1 or 2, and exit 1 writes nothing."""
 
     @pytest.mark.parametrize(
         "scenario,fixed",
-        [("eraser", {}), ("bomb", {}), ("spread", {"packet": "single_mode"}), ("well", {})],
+        [
+            ("eraser", {}),
+            ("bomb", {}),
+            ("spread", {"packet": "single_mode"}),
+            ("well", {}),
+            ("spread", {"packet": "gaussian"}),
+        ],
     )
     def test_any_parameters_keep_the_exit_contract(self, scenario, fixed):
         @settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -536,4 +652,6 @@ class TestExitContract:
                 if code == 1:
                     assert stdout.getvalue() == ""
 
+        for params in _GAUSSIAN_SPREAD_EXAMPLES if fixed == {"packet": "gaussian"} else ():
+            check = example(params=params, fmt="csv")(check)
         check()

@@ -17,7 +17,7 @@ from qensemble.ensemble import (
     allowed_k_range,
     apply_retarding_filter,
     collapse_fraction,
-    ensemble_density,
+    flat_norm_deviation,
     free_wavefunction,
     member_amplitude,
     parseval_norm,
@@ -176,7 +176,7 @@ class TestWavefunctions:
         p = ParticleModel.natural()
         grid = Grid1D(0.0, 2.0, 9)
         psi = free_wavefunction(p, grid)
-        assert_allclose(ensemble_density(psi), np.abs(psi.values) ** 2, rtol=0.0, atol=0.0)
+        assert_allclose(psi.density(), np.abs(psi.values) ** 2, rtol=0.0, atol=0.0)
 
 
 class TestParsevalNorm:
@@ -186,6 +186,9 @@ class TestParsevalNorm:
         p = ParticleModel(mass=mass)
         expected = 4.0 * np.pi * mass * k**3 / 3.0
         assert_allclose(parseval_norm(p, k), expected, rtol=1e-10)
+        value, tol, unit = flat_norm_deviation(p, k)
+        assert value == abs(parseval_norm(p, k) - expected) / expected
+        assert value <= tol == 1e-8 and unit == "relative"
 
 
 class TestRetardingFilter:

@@ -1,5 +1,6 @@
 """Polarized beams, the eraser bench and the absorber interferometer."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -13,22 +14,22 @@ from qensemble.optics import (
     X_HAT,
     Y_HAT,
     Z_HAT,
-    EraserConfig,
     EraserStage,
     MZConfig,
     PolarizedBeam,
     diagonal_polarizer,
     efficiency_account,
+    count_deviation,
     em_intensity,
-    eraser_intensity_fields,
-    eraser_intensity_statevector,
     formalism_agreement,
     horizontal_beam,
     mirror,
     mz_probabilities,
     rotate_polarization,
+    route_proportionality,
     split_beam,
     visibility,
+    visibility_targets,
 )
 
 
@@ -121,20 +122,15 @@ class TestElements:
 class TestEraser:
     @pytest.mark.parametrize("phase", np.linspace(0.0, 2.0 * math.pi, 9))
     def test_stage_curves(self, phase):
-        base = eraser_intensity_fields(EraserConfig(EraserStage.BASELINE, phase))
-        rot = eraser_intensity_fields(EraserConfig(EraserStage.ROTATOR, phase))
-        diag = eraser_intensity_fields(EraserConfig(EraserStage.ROTATOR_DIAGONAL, phase))
+        base, rot, diag = (_reference_field_intensity(stage, phase, 1.0, 1.0, 1.0) for stage in EraserStage)
         assert abs(base - (1.0 + math.cos(phase))) <= 1e-12
         assert abs(rot - 1.0) <= 1e-12
         assert abs(diag - 0.5 * (1.0 + math.cos(phase))) <= 1e-12
 
     @pytest.mark.parametrize("stage", list(EraserStage))
     def test_routes_agree(self, stage):
-        for phase in np.linspace(0.0, 2.0 * math.pi, 9):
-            cfg = EraserConfig(stage, float(phase))
-            f = eraser_intensity_fields(cfg)
-            s = eraser_intensity_statevector(cfg)
-            assert abs(f - s) <= 1e-12
+        report = formalism_agreement(n_phases=8)
+        assert np.abs(report.field_curves[stage.value] - report.state_curves[stage.value]).max() <= 1e-12
 
     def test_visibility_edge_cases(self):
         assert visibility([2.0, 2.0, 2.0]) == 0.0
@@ -166,9 +162,6 @@ class TestEraser:
             states = [_reference_state_intensity(stage, p) for p in report.phases]
             assert np.array_equal(report.field_curves[stage.value], fields)
             assert np.array_equal(report.state_curves[stage.value], states)
-            for p, f, s in zip(report.phases, fields, states):
-                assert eraser_intensity_fields(EraserConfig(stage, p, e_amp, b_amp, c)) == f
-                assert eraser_intensity_statevector(EraserConfig(stage, p)) == s
 
     @pytest.mark.parametrize(
         "kwargs,message",
@@ -187,6 +180,63 @@ class TestEraser:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ValueError, match=re.escape(message)):
                 formalism_agreement(**kwargs)
+
+
+class TestEraserOracles:
+    @pytest.mark.parametrize("n_phases", [64, 63, 315])
+    def test_correct_sweep_is_within(self, n_phases):
+        report = formalism_agreement(n_phases=n_phases)
+        value, tol, unit = visibility_targets(report)
+        assert value <= tol == 1e-12 and unit == "absolute"
+        value, tol, unit = route_proportionality(report)
+        assert value <= tol == 1e-12 and unit == "relative to max(1, route_constant)"
+
+    def test_even_sweep_targets_one_zero_one(self):
+        report = formalism_agreement(n_phases=64)
+        want = {"baseline": 1.0, "rotator_in_path1": 0.0, "rotator_plus_diagonal": 1.0}
+        routes = (report.field_visibility, report.state_visibility)
+        worst = max(abs(route[k] - v) for route in routes for k, v in want.items())
+        assert visibility_targets(report)[0] == worst
+
+    @pytest.mark.parametrize("stage", list(EraserStage))
+    @pytest.mark.parametrize("route", ["field_visibility", "state_visibility"])
+    def test_any_stage_and_route_can_breach(self, stage, route):
+        report = formalism_agreement(n_phases=63)
+        table = getattr(report, route)
+        shifted = dataclasses.replace(report, **{route: {**table, stage.value: table[stage.value] + 1e-9}})
+        assert visibility_targets(shifted)[0] > 1e-12
+
+    @pytest.mark.parametrize("amp", [0.5, 1.0, 2.0, 1e4])
+    def test_route_deviation_is_divided_by_max_one_constant(self, amp):
+        report = formalism_agreement(n_phases=64, e_amp=amp, b_amp=amp)
+        assert report.constant == pytest.approx(amp * amp, rel=1e-12)
+        divisor = report.constant if amp > 1.0 else 1.0
+        assert route_proportionality(report)[0] == report.max_abs_deviation / divisor
+
+
+class TestCountOracle:
+    def test_default_seed_worst_z_score(self):
+        ledger = efficiency_account(MZConfig(bomb_present=True), 100000)
+        worst = max(
+            abs(ledger.counts[k] - ledger.n_trials * p) / math.sqrt(ledger.n_trials * p * (1.0 - p))
+            for k, p in ledger.expected.items()
+        )
+        assert count_deviation(ledger) == (worst, 4.0, "sigma")
+        assert f"{worst:.2f}" == "1.61"
+
+    def test_outcomes_without_spread_are_skipped(self):
+        # no absorber: nothing is absorbed and the dark port is silent, so both have zero spread
+        ledger = efficiency_account(MZConfig(bomb_present=False), 5000, seed=3)
+        assert ledger.expected["absorbed"] == 0.0 and ledger.expected["detected_dark"] == 0.0
+        value, tol, _ = count_deviation(ledger)
+        assert math.isfinite(value) and value <= tol
+
+    def test_shifted_count_breaches(self):
+        ledger = efficiency_account(MZConfig(bomb_present=True), 100000)
+        p = ledger.expected["absorbed"]
+        shift = math.ceil(4.5 * math.sqrt(ledger.n_trials * p * (1.0 - p)))
+        moved = dataclasses.replace(ledger, counts={**ledger.counts, "absorbed": ledger.counts["absorbed"] + shift})
+        assert count_deviation(moved)[0] > 4.0
 
 
 def _reference_field_intensity(stage, phase, e_amp, b_amp, c):

@@ -1,6 +1,7 @@
 """Packet propagation, spreading closed forms and the intrinsic field."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qensemble.wavepacket import (
     propagate,
     quantum_potential,
     spectral_window,
+    spreading_deviation,
     truncation_bound,
 )
 
@@ -31,11 +33,6 @@ class TestDispersionLaw:
         assert law.omega(2.0) == 2.0
         assert law.group_velocity(2.0) == 2.0
         assert_allclose(law.omega(np.array([1.0, 3.0])), [0.5, 4.5], rtol=0.0)
-
-    def test_from_particle(self):
-        law = DispersionLaw.from_particle(ParticleModel(mass=3.0, hbar=2.0, total_energy=1.0))
-        assert law.mass == 3.0 and law.hbar == 2.0
-        assert_allclose(law.omega(3.0), 3.0, rtol=1e-15)
 
     @pytest.mark.parametrize("kwargs", [{"mass": 0.0}, {"hbar": -1.0}])
     def test_rejects_nonpositive_constants(self, kwargs):
@@ -56,6 +53,17 @@ class TestGaussianPacket:
 class TestSpectra:
     def test_window_covers_eight_widths(self):
         assert spectral_window(GaussianPacket(b=2.0, k0=5.0)) == (1.0, 9.0)
+
+    @pytest.mark.parametrize("b", [5.8e-187, 1.1e-153, 6.8e153, 1.8e174])
+    def test_window_rejects_widths_the_spectrum_cannot_square(self, b):
+        with pytest.raises(ValueError, match=re.escape(f"overflows for b = {b:g};")):
+            spectral_window(GaussianPacket(b=b, k0=0.0))
+
+    @pytest.mark.parametrize("b", [1.2e-153, 6.7e153])
+    def test_spectrum_is_finite_at_the_window_limits(self, b):
+        packet = GaussianPacket(b=b, k0=0.0)
+        with np.errstate(all="raise"):
+            assert np.isfinite(GaussianSpectrum(b=b, k0=0.0)(np.array(spectral_window(packet)))).all()
 
     def test_truncation_bound_is_tiny_and_scales(self):
         tb1 = truncation_bound(GaussianPacket(b=1.0, k0=0.0))
@@ -150,6 +158,46 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_density(GaussianPacket(b=1.0, k0=0.0), [0.0], 0.0, mode="exact")
 
+    def test_overflowing_square_gives_zero_density(self):
+        x = np.array([-1e200, 0.0, 1e300])
+        with np.errstate(all="raise", under="ignore"):
+            values = closed_form_density(GaussianPacket(b=1.0, k0=0.0), x, 0.0)
+        assert values.tolist() == [0.0, 1.0, 0.0]
+
+    def test_rejects_overflowing_broadening(self):
+        with pytest.raises(ValueError, match=re.escape("overflows for t = 1e+300, b = 1")):
+            closed_form_density(GaussianPacket(b=1.0, k0=0.0), [0.0], 1e300)
+
+
+class TestSpreadingOracle:
+    def test_no_runs_is_zero(self):
+        assert spreading_deviation(GaussianPacket(b=1.0, k0=5.0), []) == (0.0, 1e-4, "relative")
+
+    @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
+    def test_propagated_density_is_within(self, b):
+        packet = GaussianPacket(b=b, k0=5.0)
+        grid = Grid1D(-10.0, 25.0, 1201)
+        runs = [(t, grid.points(), propagate(packet, t, grid).density()) for t in (0.0, 1.0)]
+        value, tol, unit = spreading_deviation(packet, runs)
+        assert value <= tol == 1e-4 and unit == "relative"
+
+    def test_compares_nodes_at_or_above_1e_8_of_the_peak(self):
+        packet = GaussianPacket(b=2.0, k0=0.0)
+        x = np.linspace(-30.0, 30.0, 601)
+        ref = closed_form_density(packet, x, 1.0) / 4.0
+        faint = ref < 1e-8 * ref.max()
+        assert faint.any() and not faint.all()
+        assert spreading_deviation(packet, [(1.0, x, np.where(faint, 1.0, ref))])[0] == 0.0
+        off = np.where(faint, ref, ref * (1.0 + 2e-4))
+        assert spreading_deviation(packet, [(1.0, x, off)])[0] > 1e-4
+
+    def test_grid_without_density_is_rejected(self):
+        packet = GaussianPacket(b=0.003549626833218614, k0=5.0)
+        x = np.linspace(2.00001, 25.0, 1201)
+        message = "b = 0.00354963 leaves no density on x_min = 2.00001 .. x_max = 25"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spreading_deviation(packet, [(0.0, x, np.zeros(x.size))])
+
 
 class TestIntrinsicField:
     @pytest.mark.parametrize(
@@ -180,15 +228,12 @@ class TestIntrinsicField:
 
 class TestEquilibrium:
     def test_constant_envelope_is_exact(self):
-        report = equilibrium_check(np.full(101, 0.3 + 0.4j), 0.01)
-        assert report.max_residual == 0.0
-        assert report.in_equilibrium
+        assert equilibrium_check(np.full(101, 0.3 + 0.4j), 0.01) == 0.0
 
     def test_gaussian_envelope_is_not(self):
         x = np.linspace(-4.0, 4.0, 8001)
-        report = equilibrium_check(np.exp(-(x**2) / 2.0), x[1] - x[0])
-        assert not report.in_equilibrium
-        assert abs(report.max_residual - math.sqrt(2.0) * math.exp(-0.5)) <= 1e-3
+        residual = equilibrium_check(np.exp(-(x**2) / 2.0), x[1] - x[0])
+        assert abs(residual - math.sqrt(2.0) * math.exp(-0.5)) <= 1e-3
 
     def test_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
@@ -221,13 +266,3 @@ class TestQuantumPotential:
         with pytest.raises(ValueError):
             quantum_potential(np.ones(2), 0.1)
 
-
-class TestDispersionHook:
-    def test_scale_multiplies_dispersion_only(self, monkeypatch):
-        law = DispersionLaw()
-        monkeypatch.setattr(wavepacket, "_DISPERSION_SCALE", 2.0)
-        assert law.omega(3.0) == 9.0
-        assert law.group_velocity(3.0) == 6.0
-        # the closed form reads hbar and mass directly, so it stays put
-        val = closed_form_density(GaussianPacket(b=1.0, k0=0.0), np.array([0.0]), 1.0)
-        assert val[0] == 2.0**-0.5
