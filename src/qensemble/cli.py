@@ -35,7 +35,7 @@ from .ensemble import (
     member_amplitude,
     potential_wavefunction,
 )
-from .numerics import Grid1D, KBall, SingleMode, integrate_real, superpose_field
+from .numerics import ComplexField, Grid1D, KBall, SingleMode, integrate_real, radial_superposition
 from .optics import (
     DEFAULT_SEED,
     MZConfig,
@@ -334,6 +334,18 @@ def _q(value, unit: str) -> dict:
 # scenario runners
 
 
+def _band(p: ParticleModel, v: float, convention: KineticConvention, where: str):
+    """allowed_k_range(p, v), refused when the oracles' closed-form k^3 would be subnormal or 0."""
+    kr = allowed_k_range(p, v, convention)
+    # min() keeps the cube of a large k_hi from overflowing; only small ones can fall below tiny
+    if kr.k_hi > 0.0 and min(kr.k_hi, 1.0) ** 3 < np.finfo(float).tiny:
+        raise _CliError(
+            f"e_total = {p.total_energy:g}{where} leaves a band up to k_hi = {kr.k_hi:g}, whose "
+            f"closed-form k^3 underflows below the smallest normal double; raise e_total"
+        )
+    return kr
+
+
 def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
     p = ParticleModel(total_energy=params["e_total"])
     convention = _CONVENTIONS[params["convention"]]
@@ -344,7 +356,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
     closed_origin = (2.0 * np.pi) ** -1.5 * (4.0 * np.pi / 3.0) * np.sqrt(p.mass)
     origin_included = params["r_min"] == 0.0
     for v in params["potentials"]:
-        kr = allowed_k_range(p, v, convention)
+        kr = _band(p, v, convention, f" at potential {v:g}")
         tag = f"v={v:g}"
         psi = potential_wavefunction(p, PotentialSpec.constant(v), grid, n_k=params["n_k"], convention=convention)
         res.columns.append((f"rho[{tag}]", "1/length^3", psi.density()))
@@ -360,7 +372,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
                 1e-8,
                 "relative",
             )
-    free_hi = allowed_k_range(p, 0.0, convention).k_hi
+    free_hi = _band(p, 0.0, convention, "").k_hi
     res.oracle_deltas["flat_spectral_norm"] = ensemble.flat_norm_deviation(p, free_hi)
     if not origin_included:
         res.notes.append("origin oracle skipped: grid does not include r = 0")
@@ -413,7 +425,7 @@ def _run_collapse(params: dict, seed: int) -> ScenarioResult:
         if k_hi <= 0.0:
             return np.zeros(grid.points().size, dtype=np.complex128)
         amp = member_amplitude(p, allowed_k_range(p, 0.0, convention))
-        return superpose_field(amp, KBall(k_hi, n_k), grid, dimension=3).values
+        return ComplexField(grid, radial_superposition(amp, KBall(k_hi, n_k), grid.points())).values
 
     # the surviving band [k1, k0] is the full ball minus the blocked core,
     # which keeps both quadratures free of indicator discontinuities
@@ -562,7 +574,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qensemble", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
     for name in RUNNERS:
-        sp = sub.add_parser(name, help=f"run the {name} scenario", add_help=True)
+        sp = sub.add_parser(
+            name, help=f"run the {name} scenario", formatter_class=argparse.RawDescriptionHelpFormatter
+        )
         sp.add_argument("--config", metavar="FILE", help="flat key=value parameter file")
         sp.add_argument(
             "--set",
@@ -575,8 +589,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--out", metavar="PATH", help="output table path")
         sp.add_argument("--format", choices=("csv", "json"), default="csv", help="table format")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed")
-        keys = ", ".join(f"{k} [{v.unit}] = {v.default!r}" for k, v in SCENARIO_PARAMS[name].items())
-        sp.epilog = f"parameters: {keys}"
+        keys = "".join(f"\n  {k} [{v.unit}] = {v.default!r}: {v.help}" for k, v in SCENARIO_PARAMS[name].items())
+        sp.epilog = f"parameters:{keys}"
     st = sub.add_parser("selftest", help="run every invariant and acceptance check")
     st.add_argument("--timings", action="store_true", help="also print each check's duration")
     return parser

@@ -77,24 +77,6 @@ class ParticleModel:
     def natural(cls, total_energy: float = 1.0) -> "ParticleModel":
         return cls(mass=1.0, hbar=1.0, total_energy=total_energy)
 
-    @property
-    def velocity(self) -> float:
-        """u with E_T = m u^2."""
-        return float(np.sqrt(self.total_energy / self.mass))
-
-    @property
-    def angular_frequency(self) -> float:
-        """omega with E_T = hbar omega."""
-        return self.total_energy / self.hbar
-
-    @property
-    def kinetic_energy(self) -> float:
-        return 0.5 * self.total_energy
-
-    @property
-    def field_energy(self) -> float:
-        return 0.5 * self.total_energy
-
 
 @dataclass(frozen=True)
 class KRange:
@@ -109,10 +91,6 @@ class KRange:
             raise ValueError("range bounds must be finite")
         if self.k_lo < 0.0 or self.k_hi < self.k_lo:
             raise ValueError("range must satisfy 0 <= k_lo <= k_hi")
-
-    @property
-    def width(self) -> float:
-        return self.k_hi - self.k_lo
 
     @property
     def is_empty(self) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -107,7 +107,6 @@ class SingleMode:
 
 
 Amplitude = Union[Callable[[ArrayF], ArrayC], SingleMode]
-Interval = Union[Sequence[float], tuple]
 
 
 def _as_odd(n: int) -> int:
@@ -232,16 +231,6 @@ def integrate_ball(radial_samples: ArrayC, ball: KBall) -> complex:
     return complex(4.0 * np.pi * np.dot(w, vals * k * k))
 
 
-def _interval_bounds(domain) -> tuple[float, float]:
-    if hasattr(domain, "k_lo") and hasattr(domain, "k_hi"):
-        lo, hi = float(domain.k_lo), float(domain.k_hi)
-    else:
-        lo, hi = float(domain[0]), float(domain[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-        raise ValueError("interval must be finite with k_hi >= k_lo")
-    return lo, hi
-
-
 def radial_superposition(
     amplitude: Amplitude,
     ball: KBall,
@@ -314,7 +303,9 @@ def line_superposition(
     _synthesize); other x raise ValueError.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    lo, hi = _interval_bounds(interval)
+    lo, hi = float(interval[0]), float(interval[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
+        raise ValueError("interval must be finite with k_hi >= k_lo")
     pref = TWO_PI ** -0.5
     if isinstance(amplitude, SingleMode):
         k0 = amplitude.k0
@@ -327,23 +318,3 @@ def line_superposition(
     dk = k[1] - k[0]
     amp = np.asarray(amplitude(k), dtype=np.complex128)
     return pref * _synthesize(_simpson_weights(k.size, dk) * amp, lo, dk, x_arr)
-
-
-def superpose_field(
-    amplitude: Amplitude,
-    domain,
-    grid: Grid1D,
-    dimension: int,
-    n_k: int = 2001,
-) -> ComplexField:
-    """Synthesize chi(k) at every grid node: over a KBall in 3-D, a (k_lo, k_hi) interval in 1-D."""
-    x = grid.points()
-    if dimension == 3:
-        if not isinstance(domain, KBall):
-            raise ValueError("dimension 3 requires a KBall domain")
-        vals = radial_superposition(amplitude, domain, x)
-    elif dimension == 1:
-        vals = line_superposition(amplitude, domain, x, n_k=n_k)
-    else:
-        raise ValueError("dimension must be 1 or 3")
-    return ComplexField(grid, vals)

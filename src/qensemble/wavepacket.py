@@ -79,13 +79,6 @@ class GaussianSpectrum:
         return np.exp(-((kk - self.k0) ** 2) * self.b**2 / 2.0)
 
 
-def packet_spectrum(packet: InitialPacket):
-    """Spectral amplitude of an initial packet (symbolic for a single mode)."""
-    if isinstance(packet, SingleMode):
-        return packet
-    return GaussianSpectrum(b=packet.b, k0=packet.k0)
-
-
 # Bound on b and on the window half-width 8/b, both of which the spectrum squares:
 # half of sqrt(largest double), so the squares stay finite with room for rounding.
 _MAX_SQUARED = math.sqrt(np.finfo(np.float64).max) / 2.0
@@ -156,7 +149,7 @@ def propagate(
                 f"single-mode phase k0 x - omega(k0) t overflows for k0 = {packet.k0:g}, t = {t:g}"
             )
         return ComplexField(grid, np.exp(1j * phase))
-    spec = packet_spectrum(packet)
+    spec = GaussianSpectrum(packet.b, packet.k0)
     lo, hi = spectral_window(packet)
     n = n_k if n_k is not None else _auto_nodes(packet, t, grid, disp)
     k = _spectral_nodes(lo, hi, n)

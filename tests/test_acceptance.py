@@ -8,6 +8,7 @@ attached to any failure.
 import numpy as np
 import pytest
 
+from qensemble import acceptance, cli
 from qensemble.acceptance import (
     ALL_CHECKS,
     CRITERION_CHECKS,
@@ -17,14 +18,37 @@ from qensemble.acceptance import (
 )
 from qensemble.wavepacket import DispersionLaw, GaussianPacket, closed_form_density
 
+# the registry's names in selftest order: 9 invariants, then 11 criteria
+NAMES = (
+    "quadrature_rules",
+    "zero_potential_reduction",
+    "decaying_tail_shape",
+    "filter_edge_cases",
+    "bound_state_normalization",
+    "packet_norm_transport",
+    "quantum_potential_mask",
+    "beam_energy_accounting",
+    "monte_carlo_determinism",
+    "parseval_identity",
+    "range_monotonicity",
+    "single_mode_constancy",
+    "gaussian_spreading",
+    "force_consistency",
+    "equilibrium_condition",
+    "collapse_fraction",
+    "square_well_structure",
+    "eraser_visibilities",
+    "interaction_free_statistics",
+    "uncertainty_floor",
+)
+
 
 class TestRegistry:
     def test_registry_layout(self):
         assert len(INVARIANT_CHECKS) == 9
         assert len(CRITERION_CHECKS) == 11
         assert ALL_CHECKS == INVARIANT_CHECKS + CRITERION_CHECKS
-        names = [name for name, _ in ALL_CHECKS]
-        assert len(names) == len(set(names))
+        assert [check.__name__ for check in ALL_CHECKS] == [f"check_{name}" for name in NAMES]
 
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
@@ -36,21 +60,26 @@ class TestRegistry:
         assert good.line == "PASS alpha: all fine"
         assert bad.line == "FAIL beta: off by 2"
 
+    @pytest.mark.parametrize("name", sorted(acceptance.BUDGETS))
+    def test_check_over_its_budget_fails(self, name, monkeypatch, capsys):
+        monkeypatch.setitem(acceptance.BUDGETS, name, 0.0)
+        (result,) = run_checks([name])
+        assert not result.passed
+        assert result.detail.endswith("; runtime budget of 0 s exceeded")
+        assert cli.main(["selftest"]) == 2
+        assert f"FAIL {name}: " in capsys.readouterr().out
 
-@pytest.mark.parametrize(
-    "name, check", INVARIANT_CHECKS, ids=[name for name, _ in INVARIANT_CHECKS]
-)
-def test_invariant(name, check):
-    result = check()
+
+@pytest.mark.parametrize("name", NAMES[:9])
+def test_invariant(name):
+    (result,) = run_checks([name])
     print(result.line)
     assert result.passed, result.detail
 
 
-@pytest.mark.parametrize(
-    "name, check", CRITERION_CHECKS, ids=[name for name, _ in CRITERION_CHECKS]
-)
-def test_criterion(name, check):
-    result = check()
+@pytest.mark.parametrize("name", NAMES[9:])
+def test_criterion(name):
+    (result,) = run_checks([name])
     print(result.line)
     assert result.passed, result.detail
 

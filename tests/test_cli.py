@@ -7,6 +7,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qensemble
 from qensemble import cli, ensemble, optics, wavepacket
 from qensemble.cli import (
     RUNNERS,
@@ -27,7 +30,7 @@ from qensemble.cli import (
     main,
 )
 from qensemble.optics import formalism_agreement, visibility
-from qensemble.acceptance import ALL_CHECKS, run_checks
+from qensemble.acceptance import run_checks
 from qensemble.squarewell import pair_member, well_ensemble_density
 
 CHEAP_ARGS = {
@@ -137,6 +140,10 @@ class TestValidationPaths:
                  "--set", "k0=2.0445899274311264e+16", "--set", "n_k=235", "--set", "times=-1.7261142292378744e+16"],
                 "phase omega(k) t overflows for k0 = 2.04459e+16, b = 1.56362e-150, t = -1.72611e+16",
             ),
+            (["ensemble", "--set", "e_total=1e-300"], "e_total = 1e-300 at potential 0 leaves a band up to"),
+            (["ensemble", "--set", "e_total=2.9e-213", "--set", "r_min=2.9e-213"], "closed-form k^3 underflows"),
+            (["ensemble", "--set", "e_total=1e-210"], "e_total = 1e-210 at potential 0 leaves a band"),
+            (["ensemble", "--set", "e_total=1e-300", "--set", "potentials=-3"], "e_total = 1e-300 leaves a band"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -180,6 +187,20 @@ class TestScenarioRuns:
         assert code == 0
         delta = json.loads(stdout)["oracle_deltas"]["gaussian_vs_closed_form"]
         assert delta["value"] <= 1e-4
+
+    def test_smallest_normal_band_stays_within_tolerance(self, capsys, tmp_path):
+        # k^3 = 3.2e-308 is just above the smallest normal double
+        code, stdout, _ = run(["ensemble", "--set", "e_total=1e-205", "--out", str(tmp_path / "e.csv")], capsys)
+        assert code == 0
+        assert all(delta["within"] for delta in json.loads(stdout)["oracle_deltas"].values())
+
+    def test_help_lists_each_parameter_with_its_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["well", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "v0 [energy] = 4.0: well depth" in out
+        assert all(f"{key} [{spec.unit}]" in out for key, spec in SCENARIO_PARAMS["well"].items())
 
     def test_json_table_structure(self, capsys, tmp_path):
         out = tmp_path / "well.json"
@@ -571,15 +592,26 @@ class TestSelftest:
     def test_timings_add_one_duration_per_check(self, capsys):
         code, plain, _ = run(["selftest"], capsys)
         assert code == 0
-        assert plain == "".join(f"{r.line}\n" for r in run_checks()) + "selftest: 20 checks, 20 passed, 0 failed\n"
+        results = run_checks()
+        assert plain == "".join(f"{r.line}\n" for r in results) + "selftest: 20 checks, 20 passed, 0 failed\n"
         code, timed, _ = run(["selftest", "--timings"], capsys)
         assert code == 0
         lines = timed.splitlines()
         assert lines[:21] == plain.splitlines()
         assert len(lines) == 41
-        for (name, _), line in zip(ALL_CHECKS, lines[21:]):
+        for result, line in zip(results, lines[21:]):
             prefix, seconds, unit = line.rsplit(" ", 2)
-            assert prefix == f"time {name}:" and unit == "s" and float(seconds) >= 0.0
+            assert prefix == f"time {result.name}:" and unit == "s" and float(seconds) >= 0.0
+
+    def test_module_entry_point_matches_in_process_call(self, capsys):
+        code, out, _ = run(["selftest"], capsys)
+        src = os.path.dirname(os.path.dirname(qensemble.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qensemble", "selftest"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert code == proc.returncode == 0
+        assert proc.stdout == out
 
 
 def _param_values(scenario, fixed):

@@ -28,13 +28,6 @@ from qensemble.numerics import Grid1D, KBall, SingleMode, _simpson_weights
 
 
 class TestParticleModel:
-    def test_energy_split_and_rates(self):
-        p = ParticleModel(mass=2.0, hbar=1.0, total_energy=8.0)
-        assert p.kinetic_energy == 4.0
-        assert p.field_energy == 4.0
-        assert p.velocity == 2.0
-        assert p.angular_frequency == 8.0
-
     @pytest.mark.parametrize("field", ["mass", "hbar", "total_energy"])
     def test_rejects_nonpositive(self, field):
         kwargs = {"mass": 1.0, "hbar": 1.0, "total_energy": 1.0, field: 0.0}
@@ -74,10 +67,9 @@ class TestAllowedKRange:
 
 
 class TestKRange:
-    def test_width_and_containment(self):
+    def test_containment(self):
         outer = KRange(0.0, 2.0)
         inner = KRange(0.5, 1.5)
-        assert outer.width == 2.0
         assert outer.contains(inner) and not inner.contains(outer)
 
     def test_rejects_inverted_bounds(self):

@@ -19,7 +19,6 @@ from qensemble.numerics import (
     integrate_real,
     line_superposition,
     radial_superposition,
-    superpose_field,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -114,9 +113,19 @@ class TestIntegrateBall:
 class TestRadialSuperposition:
     def test_flat_origin_value(self):
         # (2 pi)^(-3/2) * (4 pi / 3) * k_max^3 at the origin
-        psi = radial_superposition(lambda k: np.ones_like(k, dtype=complex), KBall(1.0), 0.0)
+        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
+        psi = radial_superposition(flat, KBall(1.0), 0.0)
         assert_allclose(psi[0].real, 0.2659615202676218, rtol=0.0, atol=1e-15)
         assert psi[0].imag == 0.0
+        on_grid = radial_superposition(flat, KBall(1.0), Grid1D(0.0, 1.0, 3).points())
+        assert_allclose(on_grid[0].real, 0.2659615202676218, rtol=0.0, atol=1e-15)
+
+    def test_grid_matches_pointwise(self):
+        grid = Grid1D(0.0, 2.0, 5)
+        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
+        field = ComplexField(grid, radial_superposition(flat, KBall(1.0), grid.points()))
+        single = [radial_superposition(flat, KBall(1.0), float(r))[0] for r in grid.points()]
+        assert_allclose(field.values, single, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 4.7])
     def test_flat_profile_against_quad(self, r):
@@ -288,6 +297,11 @@ class TestLineSuperposition:
         outside = line_superposition(SingleMode(2.0), (0.0, 1.0), x)
         assert np.all(outside == 0.0)
 
+    def test_flat_band_origin_value(self):
+        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
+        one = line_superposition(flat, (0.0, 1.0), Grid1D(0.0, 1.0, 3).points())
+        assert_allclose(one[0].real, 1.0 / math.sqrt(TWO_PI), rtol=1e-12)
+
     def test_empty_interval_gives_zero(self):
         psi = line_superposition(lambda k: np.ones_like(k, dtype=complex), (1.0, 1.0), 0.3)
         assert psi[0] == 0.0
@@ -355,27 +369,3 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="uniform"):
             _synthesize(w, 0.0, 0.1, np.array([0.0, 0.1, 0.25, 0.3]))
 
-
-class TestSuperpose:
-    def test_dimension_dispatch(self):
-        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
-        grid = Grid1D(0.0, 1.0, 3)
-        three = superpose_field(flat, KBall(1.0), grid, dimension=3).values[0]
-        assert_allclose(three.real, 0.2659615202676218, rtol=0.0, atol=1e-15)
-        one = superpose_field(flat, (0.0, 1.0), grid, dimension=1).values[0]
-        assert_allclose(one.real, 1.0 / math.sqrt(TWO_PI), rtol=1e-12)
-
-    def test_dimension_three_needs_ball(self):
-        with pytest.raises(ValueError):
-            superpose_field(lambda k: np.ones_like(k, dtype=complex), (0.0, 1.0), Grid1D(0.0, 1.0, 3), dimension=3)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            superpose_field(lambda k: np.ones_like(k, dtype=complex), (0.0, 1.0), Grid1D(0.0, 1.0, 3), dimension=2)
-
-    def test_field_wrapper_matches_pointwise(self):
-        grid = Grid1D(0.0, 2.0, 5)
-        flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
-        field = superpose_field(flat, KBall(1.0), grid, dimension=3)
-        single = [radial_superposition(flat, KBall(1.0), float(r))[0] for r in grid.points()]
-        assert_allclose(field.values, single, rtol=0.0, atol=1e-15)

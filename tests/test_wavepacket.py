@@ -18,7 +18,6 @@ from qensemble.wavepacket import (
     equilibrium_check,
     intrinsic_force,
     intrinsic_potential,
-    packet_spectrum,
     propagate,
     quantum_potential,
     spectral_window,
@@ -76,13 +75,6 @@ class TestSpectra:
         assert spec(3.0) == 1.0
         assert spec(3.0 + 0.7) == spec(3.0 - 0.7)
         assert_allclose(spec(3.5), math.exp(-0.5), rtol=1e-15)
-
-    def test_packet_spectrum_dispatch(self):
-        mode = SingleMode(k0=1.5)
-        assert packet_spectrum(mode) is mode
-        spec = packet_spectrum(GaussianPacket(b=2.0, k0=3.0))
-        assert isinstance(spec, GaussianSpectrum)
-        assert spec.b == 2.0 and spec.k0 == 3.0
 
 
 class TestPropagation:
