@@ -279,6 +279,10 @@ def _column_cells(name: str, values, quote: Callable[[str], str]):
         if not np.isfinite(arr).all():
             bad = arr[~np.isfinite(arr)][0]
             raise _CliError(f"refusing to serialize non-finite value {bad} in column '{name}'")
+        # a column of one bit pattern is formatted once; 0.0 and -0.0 compare equal but print apart
+        bits = arr.view(np.uint64) if arr.dtype == np.float64 and arr.size else None
+        if bits is not None and (bits == bits[0]).all():
+            return "%s", ["%.17g" % arr[0]] * arr.size
         return "%.17g", arr
     if arr.dtype.kind in "iu":
         return "%d", arr
@@ -416,7 +420,15 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
 def _run_collapse(params: dict, seed: int) -> ScenarioResult:
     p = ParticleModel(total_energy=params["e_total"])
     convention = _CONVENTIONS[params["convention"]]
+    _band(p, 0.0, convention, "")
     filtered = apply_retarding_filter(p, params["e_rfa"], convention)
+    k1, k0 = filtered.after.k_lo, filtered.after.k_hi
+    # the surviving shell's odd node count must find room for distinct nodes between k1 and k0
+    if k1 < k0 and k0 - k1 < (params["n_k"] | 1) * np.spacing(k0):
+        raise _CliError(
+            f"e_rfa = {params['e_rfa']!r} leaves a surviving band k = {k1:g} .. {k0:g} too narrow "
+            f"for {params['n_k']} distinct quadrature nodes; lower e_rfa"
+        )
     grid = Grid1D(params["r_min"], params["r_max"], params["n_r"])
     n_k = params["n_k"]
     res = ScenarioResult(geometry="3d_radial")

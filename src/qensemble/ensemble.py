@@ -234,7 +234,8 @@ def potential_wavefunction(
     where E_T > V, the decaying kernel exp(-kr) where E_T < V.  Each maximal
     run of contiguous nodes sharing one potential value is synthesized in
     one call, since the oscillatory kernel needs uniformly spaced nodes; a
-    constant potential is one call on the whole grid.
+    constant potential is one call on the whole grid.  A potential whose
+    density overflows a double raises ValueError naming it.
     """
     x = grid.points()
     v_vals = potential(x)
@@ -247,9 +248,16 @@ def potential_wavefunction(
         ball = KBall(rng.k_hi, n_k)
         kernel = "oscillatory" if rng.regime is Regime.OSCILLATORY else "decaying"
         idx = np.nonzero(v_vals == v)[0]
-        for run in np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1):
-            nodes = slice(run[0], run[-1] + 1)
-            out[nodes] = radial_superposition(chi, ball, x[nodes], kernel=kernel)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1):
+                nodes = slice(run[0], run[-1] + 1)
+                out[nodes] = radial_superposition(chi, ball, x[nodes], kernel=kernel)
+            finite = np.isfinite(np.abs(out[idx]) ** 2).all()
+        if not finite:
+            raise ValueError(
+                f"the density at potential {v:g} overflows: its {rng.regime.name.lower()} "
+                f"band reaches k_hi = {rng.k_hi:g}"
+            )
     return ComplexField(grid, out)
 
 

@@ -14,6 +14,8 @@ and safely splittable across workers.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Union
@@ -359,8 +361,85 @@ class EfficiencyLedger:
         return self.counts["undetected"] / bound if bound else 0.0
 
 
-# Trials drawn at a time: about 5 MiB of draws and masks, whatever n_trials is.
+# Trials drawn at a time per block: two doubles and three masks, about 4.75 MiB, whatever n_trials is.
 _TRIAL_CHUNK = 1 << 18
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stream(seed: int, offset: int) -> np.random.Generator:
+    """Generator positioned at double `offset` of the Philox(seed) stream.
+
+    Philox makes four doubles per counter step, so the generator starts
+    offset // 4 steps on and skips offset % 4 doubles.
+    """
+    bits = np.random.Philox(seed)
+    bits.advance(offset // 4)
+    gen = np.random.Generator(bits)
+    gen.random(offset % 4)
+    return gen
+
+
+def _block_counts(probs: MZProbabilities, eta: float, n_trials: int, seed: int, lo: int, hi: int):
+    """(absorbed, clicks among the non-absorbed, dark clicks) of trials lo .. hi - 1.
+
+    Trial i routes on double i of the Philox(seed) stream and rolls its
+    detector on double n_trials + i.  A trial is absorbed below p_absorbed
+    and goes dark from p_absorbed + p_bright up.
+    """
+    routes, detector = _stream(seed, lo), _stream(seed, n_trials + lo)
+    size = min(_TRIAL_CHUNK, hi - lo)
+    buffers = (np.empty(size), np.empty(size), *(np.empty(size, dtype=bool) for _ in range(3)))
+    dark_from = probs.absorbed + probs.bright
+    absorbed = kept_clicks = dark_clicks = 0
+    for start in range(lo, hi, _TRIAL_CHUNK):
+        u, v, kept, clicks, dark = (buf[: min(_TRIAL_CHUNK, hi - start)] for buf in buffers)
+        routes.random(out=u)
+        detector.random(out=v)
+        np.greater_equal(u, probs.absorbed, out=kept)
+        np.less(v, eta, out=clicks)
+        np.greater_equal(u, dark_from, out=dark)
+        absorbed += kept.size - int(np.count_nonzero(kept))
+        kept_clicks += int(np.count_nonzero(np.logical_and(kept, clicks, out=kept)))
+        dark_clicks += int(np.count_nonzero(np.logical_and(dark, clicks, out=dark)))
+    return absorbed, kept_clicks, dark_clicks
+
+
+def _ledger_counts(probs: MZProbabilities, eta: float, n_trials: int, seed: int, edges) -> dict:
+    """Counts of all n_trials, tallied in blocks edges[i] .. edges[i + 1] - 1.
+
+    Block 0 runs on the calling thread and every other block on a thread of
+    its own; an exception in any block is raised here once all have ended.
+    """
+    tallies = [None] * (len(edges) - 1)
+    errors = []
+
+    def tally(i: int) -> None:
+        try:
+            tallies[i] = _block_counts(probs, eta, n_trials, seed, edges[i], edges[i + 1])
+        except BaseException as exc:  # raised below, never left to threading.excepthook
+            errors.append(exc)
+
+    workers = [threading.Thread(target=tally, args=(i,)) for i in range(1, len(tallies))]
+    for w in workers:
+        w.start()
+    tally(0)
+    for w in workers:
+        w.join()
+    if errors:
+        raise errors[0]
+    absorbed, clicks, dark = (sum(col) for col in zip(*tallies))
+    return {
+        "absorbed": absorbed,
+        "detected_bright": clicks - dark,
+        "detected_dark": dark,
+        "undetected": n_trials - absorbed - clicks,
+    }
 
 
 def efficiency_account(cfg: MZConfig, n_trials: int, seed: int = DEFAULT_SEED) -> EfficiencyLedger:
@@ -368,34 +447,21 @@ def efficiency_account(cfg: MZConfig, n_trials: int, seed: int = DEFAULT_SEED) -
 
     Each trial routes one photon through the interferometer and then rolls
     the detector with the configured efficiency.  Draws come from a
-    counter-based Philox generator, so the ledger is reproducible for a
-    given seed and the stream can be split across workers without overlap.
-    Trials run in chunks of _TRIAL_CHUNK; the counts do not depend on it.
+    counter-based Philox generator: the routing draws are doubles 0 ..
+    n_trials - 1 of the Philox(seed) stream and the detector draws the next
+    n_trials, so the ledger is reproducible for a given seed.  The trials
+    are split into one contiguous block of whole _TRIAL_CHUNKs per CPU this
+    process may run on (at most one block per chunk), each block counted on
+    its own thread from a generator started at its first trial; the counts
+    do not depend on the split.
     """
     if n_trials <= 0:
         raise ValueError("n_trials must be positive")
     probs = mz_probabilities(cfg)
-    # The routing draws are doubles 0 .. n-1 of the Philox(seed) stream and
-    # the detector draws continue it from double n.  Philox makes four
-    # doubles per counter step, so the detector's own generator starts
-    # n // 4 steps on and skips n % 4 doubles.
-    routes = np.random.Generator(np.random.Philox(seed))
-    detector_bits = np.random.Philox(seed)
-    detector_bits.advance(n_trials // 4)
-    detector = np.random.Generator(detector_bits)
-    detector.random(n_trials % 4)
-    counts = dict.fromkeys(("absorbed", "detected_bright", "detected_dark", "undetected"), 0)
-    for start in range(0, n_trials, _TRIAL_CHUNK):
-        size = min(_TRIAL_CHUNK, n_trials - start)
-        u = routes.random(size)
-        absorbed = u < probs.absorbed
-        bright = (~absorbed) & (u < probs.absorbed + probs.bright)
-        dark = ~(absorbed | bright)
-        clicks = detector.random(size) < cfg.efficiency
-        counts["absorbed"] += int(np.count_nonzero(absorbed))
-        counts["detected_bright"] += int(np.count_nonzero(bright & clicks))
-        counts["detected_dark"] += int(np.count_nonzero(dark & clicks))
-        counts["undetected"] += int(np.count_nonzero((bright | dark) & ~clicks))
+    n_chunks = -(-n_trials // _TRIAL_CHUNK)
+    blocks = min(_cpu_count(), n_chunks)
+    edges = [min(n_trials, n_chunks * i // blocks * _TRIAL_CHUNK) for i in range(blocks + 1)]
+    counts = _ledger_counts(probs, cfg.efficiency, n_trials, seed, edges)
     eta = cfg.efficiency
     expected = {
         "absorbed": probs.absorbed,

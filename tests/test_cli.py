@@ -144,6 +144,13 @@ class TestValidationPaths:
             (["ensemble", "--set", "e_total=2.9e-213", "--set", "r_min=2.9e-213"], "closed-form k^3 underflows"),
             (["ensemble", "--set", "e_total=1e-210"], "e_total = 1e-210 at potential 0 leaves a band"),
             (["ensemble", "--set", "e_total=1e-300", "--set", "potentials=-3"], "e_total = 1e-300 leaves a band"),
+            (
+                ["ensemble", "--set", "potentials=1.6e215,1.1e-216", "--set", "n_k=195"],
+                "the density at potential 1.6e+215 overflows",
+            ),
+            (["ensemble", "--set", "potentials=-5e158", "--set", "r_min=1"], "the density at potential -5e+158 overflows"),
+            (["collapse", "--set", "e_rfa=0.9999999999999999"], "e_rfa = 0.9999999999999999 leaves a surviving band"),
+            (["collapse", "--set", "e_total=1e-300"], "e_total = 1e-300 leaves a band up to"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -327,6 +334,22 @@ class TestTableWriter:
         out = tmp_path / "t.json"
         _write_table(str(out), "json", result, "one", {})
         assert out.read_text() == _json_reference(result, "one", {})
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "column",
+        [[1.0] * 4, [-0.0] * 4, [0.0, -0.0], [-0.0, 0.0], [0.1], [2.5, 2.5, 2.5000000000000004]],
+    )
+    def test_constant_columns_match_per_cell_reference(self, column, fmt):
+        n = len(column)
+        result = ScenarioResult(geometry="none")
+        result.columns += [
+            ("x", "length", np.linspace(0.0, 1.0, n)),
+            ("rho", "1/length", np.array(column)),
+            ("k", "count", np.full(n, 3)),
+        ]
+        text = _render_table(fmt, result, "t", {})
+        assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {}))
 
 
 # finite doubles from any bit pattern, subnormals from the low 52 bits of either sign
@@ -577,6 +600,16 @@ class TestSharedOracles:
         assert {name for name, delta in deltas.items() if not delta["within"]} == {key}
         (result,) = run_checks([check])
         assert not result.passed, result.line
+
+
+def test_cli_import_leaves_out_logging():
+    # concurrent.futures pulls in logging, several ms of every launch's setup
+    src = os.path.dirname(os.path.dirname(qensemble.__file__))
+    code = "import sys, qensemble.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 class TestSelftest:

@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from qensemble import optics
 from qensemble.optics import (
     DEFAULT_SEED,
     X_HAT,
@@ -30,7 +32,18 @@ from qensemble.optics import (
     split_beam,
     visibility,
     visibility_targets,
+    _ledger_counts,
 )
+
+# absorber in or out, r and eta at both ends
+_LEDGER_CONFIGS = [
+    MZConfig(bomb_present=True, reflectivity=0.45, efficiency=0.3),
+    MZConfig(bomb_present=False, reflectivity=0.45, efficiency=0.3),
+    MZConfig(bomb_present=True, reflectivity=0.0, efficiency=0.3),
+    MZConfig(bomb_present=True, reflectivity=1.0, efficiency=0.3),
+    MZConfig(bomb_present=True, reflectivity=0.45, efficiency=0.0),
+    MZConfig(bomb_present=True, reflectivity=0.45, efficiency=1.0),
+]
 
 
 class TestPolarizedBeam:
@@ -341,8 +354,58 @@ class TestEfficiencyLedger:
         [1, 2, 3, 4, 5, 7, 1000, 2**18 - 1, 2**18, 2**18 + 1, 3_000_000, 3_000_001],
     )
     def test_chunked_counts_equal_one_shot_draws(self, n):
+        for cfg in _LEDGER_CONFIGS:
+            assert efficiency_account(cfg, n, seed=2024).counts == _one_shot_counts(cfg, n, 2024), cfg
+
+    @pytest.mark.parametrize(
+        "n,edges",
+        [
+            (1, [0, 1]),
+            (7, [0, 1, 2, 3, 4, 5, 6, 7]),
+            (7, [0, 0, 3, 3, 7]),
+            (3 * 2**18 + 7, [0, 2**18 + 5, 2 * 2**18 - 1, 2 * 2**18, 3 * 2**18 + 7]),
+            (2**18 + 3, [0, 1, 2**18 + 2, 2**18 + 3]),
+            (1000, list(range(0, 1001, 125))),
+        ],
+    )
+    @pytest.mark.parametrize("cfg", _LEDGER_CONFIGS[:2])
+    def test_any_split_into_blocks_sums_to_one_shot_draws(self, n, edges, cfg):
+        # one-trial, empty and unaligned blocks, and more blocks than CPUs, switching threads often
+        probs = mz_probabilities(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = _ledger_counts(probs, cfg.efficiency, n, 99, edges)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == _one_shot_counts(cfg, n, 99)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 64])
+    def test_counts_do_not_depend_on_the_cpu_count(self, cpus, monkeypatch):
         cfg = MZConfig(bomb_present=True, reflectivity=0.45, efficiency=0.3)
-        assert efficiency_account(cfg, n, seed=2024).counts == _one_shot_counts(cfg, n, 2024)
+        n = 3 * 2**18 + 11
+        monkeypatch.setattr(optics, "_cpu_count", lambda: cpus)
+        assert efficiency_account(cfg, n, seed=5).counts == _one_shot_counts(cfg, n, 5)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(optics, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(optics.threading, "Thread", None)
+        cfg = MZConfig(bomb_present=True)
+        assert efficiency_account(cfg, 2**18, seed=5).counts == _one_shot_counts(cfg, 2**18, 5)
+
+    def test_failing_block_raises_in_the_caller_without_stderr(self, monkeypatch, capfd):
+        block_counts = optics._block_counts
+
+        def failing(probs, eta, n_trials, seed, lo, hi):
+            if lo > 0:
+                raise RuntimeError(f"block at {lo} failed")
+            return block_counts(probs, eta, n_trials, seed, lo, hi)
+
+        monkeypatch.setattr(optics, "_block_counts", failing)
+        monkeypatch.setattr(optics, "_cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match=f"block at {2**18} failed"):
+            efficiency_account(MZConfig(bomb_present=True), 2**18 + 1)
+        assert capfd.readouterr().err == ""
 
 
 def _one_shot_counts(cfg, n_trials, seed):
