@@ -222,14 +222,8 @@ def _fmt_float(value: float) -> str:
     return f"{float(value):.17g}"
 
 
-class _Verbatim(str):
-    """Text already rendered as a JSON fragment at its place in the document."""
-
-
 def _json_fragment(obj, indent: int) -> str:
     pad = "  " * indent
-    if isinstance(obj, _Verbatim):
-        return obj
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -273,61 +267,66 @@ def _csv_field(text: str, alone: bool = False) -> str:
 
 
 def _column_cells(name: str, values, quote: Callable[[str], str]):
-    """One column's printf conversion and the cells it formats, strings already quoted."""
+    """One column's conversion and its cells, strings quoted; if all print alike, its text (`%` doubled) and None."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f":
         if not np.isfinite(arr).all():
             bad = arr[~np.isfinite(arr)][0]
             raise _CliError(f"refusing to serialize non-finite value {bad} in column '{name}'")
-        # a column of one bit pattern is formatted once; 0.0 and -0.0 compare equal but print apart
-        bits = arr.view(np.uint64) if arr.dtype == np.float64 and arr.size else None
-        if bits is not None and (bits == bits[0]).all():
-            return "%s", ["%.17g" % arr[0]] * arr.size
-        return "%.17g", arr
-    if arr.dtype.kind in "iu":
-        return "%d", arr
-    if arr.dtype.kind == "U":
+        # alike by bit pattern: 0.0 and -0.0 compare equal but print apart
+        bits = arr.view(np.uint64) if arr.dtype == np.float64 else None
+        spec, alike = "%.17g", bits is not None and bits.size and (bits == bits[0]).all()
+    elif arr.dtype.kind in "iu":
+        spec, alike = "%d", arr.size and (arr == arr[0]).all()
+    elif arr.dtype.kind == "U":
         # the given strings, not the array's, which drop trailing NULs
-        return "%s", list(map(quote, values))
-    raise _CliError(f"cannot serialize column '{name}' of dtype {arr.dtype}")
+        spec, arr = "%s", list(map(quote, values))
+        alike = arr and arr.count(arr[0]) == len(arr)
+    else:
+        raise _CliError(f"cannot serialize column '{name}' of dtype {arr.dtype}")
+    if alike:
+        return (spec % arr[0]).replace("%", "%%"), None
+    return spec, arr
 
 
-def _render_table(fmt: str, result: ScenarioResult, scenario: str, params: dict) -> str:
-    names = [name for name, _, _ in result.columns]
-    units = [unit for _, unit, _ in result.columns]
+def _render_table(fmt: str, result: ScenarioResult, scenario: str, params: dict) -> list[str]:
+    """The table as parts to write in order: the JSON head, rows and tail, or the CSV header and body."""
+    names, units, _ = zip(*result.columns)
     length = len(result.columns[0][2])
     for name, _, values in result.columns:
         if len(values) != length:
             raise _CliError(f"column '{name}' length differs from the first column")
     quote = json.dumps if fmt == "json" else functools.partial(_csv_field, alone=len(names) == 1)
-    # one conversion per column; the cells interleaved row-major fill the whole-table template
-    specs = []
-    table = np.empty((length, len(names)), dtype=object)
-    for j, (name, _, values) in enumerate(result.columns):
-        spec, table[:, j] = _column_cells(name, values, quote)
+    # a column whose cells all print alike is literal text in the row template; each other column
+    # adds one conversion, and only its cells, interleaved row-major, fill the whole-table template
+    specs, varying = [], []
+    for name, _, values in result.columns:
+        spec, cells = _column_cells(name, values, quote)
         specs.append(spec)
+        if cells is not None:
+            varying.append(cells)
+    table = np.empty((length, len(varying)), dtype=object)
+    for j, column in enumerate(varying):
+        table[:, j] = column
     cells = tuple(table.ravel().tolist())
     if fmt == "csv":
         header = ",".join(_csv_field(f"{n} ({u})") for n, u in zip(names, units)) + "\n"
-        return header + (",".join(specs) + "\n") * length % cells
+        return [header, (",".join(specs) + "\n") * length % cells]
     # each row is a list at indent 2 inside "rows" at indent 1, as _json_fragment lays it out
     row = "[\n      " + ",\n      ".join(specs) + "\n    ]"
-    rows = "[\n    " + ",\n    ".join([row] * length) % cells + "\n  ]" if length else "[]"
-    payload = {
-        "schema_version": 1,
-        "scenario": scenario,
-        "params": params,
-        "columns": [{"name": n, "unit": u} for n, u in zip(names, units)],
-        "rows": _Verbatim(rows),
-    }
-    return _dump_json(payload)
+    rows = ("[\n    " + ",\n    ".join([row] * length) + "\n  ]") % cells if length else "[]"
+    columns = [{"name": n, "unit": u} for n, u in zip(names, units)]
+    payload = {"schema_version": 1, "scenario": scenario, "params": params, "columns": columns, "rows": []}
+    # "rows" comes last, so the encoder's last "[]" is its place in the document
+    head, tail = _dump_json(payload).rsplit("[]", 1)
+    return [head, rows, tail]
 
 
 def _write_table(path: str, fmt: str, result: ScenarioResult, scenario: str, params: dict) -> None:
     # rendered in full first, so a value that cannot be written leaves no file
-    text = _render_table(fmt, result, scenario, params)
+    parts = _render_table(fmt, result, scenario, params)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
 def _q(value, unit: str) -> dict:
@@ -336,6 +335,11 @@ def _q(value, unit: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # scenario runners
+
+
+def _origin_amplitude(p: ParticleModel, k_hi: float):
+    """The flat ball's closed-form amplitude at r = 0, (2 pi)^(-3/2) (4 pi / 3) sqrt(m) k_hi^3; inf past a double."""
+    return (2.0 * np.pi) ** -1.5 * (4.0 * np.pi / 3.0) * np.sqrt(p.mass) * np.float64(k_hi) ** 3
 
 
 def _band(p: ParticleModel, v: float, convention: KineticConvention, where: str):
@@ -357,7 +361,6 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
     res = ScenarioResult(geometry="3d_radial")
     res.columns.append(("r", "length", grid.points()))
     res.notes.append("densities are unnormalized equal-weight member superpositions in natural units")
-    closed_origin = (2.0 * np.pi) ** -1.5 * (4.0 * np.pi / 3.0) * np.sqrt(p.mass)
     origin_included = params["r_min"] == 0.0
     for v in params["potentials"]:
         kr = _band(p, v, convention, f" at potential {v:g}")
@@ -370,7 +373,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
             res.notes.append(f"potential {v:g} exhausts the energy budget; the member range is empty")
         elif origin_included:
             measured = abs(psi.values[0])
-            expected = closed_origin * kr.k_hi**3
+            expected = _origin_amplitude(p, kr.k_hi)
             res.oracle_deltas[f"origin_amplitude[{tag}]"] = (
                 abs(measured - expected) / expected,
                 1e-8,
@@ -398,9 +401,12 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
         packet = GaussianPacket(b=params["b"], k0=params["k0"])
         runs = [(t, x, propagate(packet, t, grid, law, n_k=n_k).density()) for t in times]
         res.columns += [(f"density_gaussian[t={t:g}]", "1/length", dens) for t, _, dens in runs]
-        res.oracle_deltas["gaussian_vs_closed_form"] = wavepacket.spreading_deviation(packet, runs, law)
+        res.notes.append(
+            "gaussian oracle holds nodes at or above 1e-8 of the packet's peak closed-form density"
+            " to 1e-4 relative, and every node to 1e-10 of that peak absolute"
+        )
+        res.oracle_deltas["gaussian_vs_closed_form"] = wavepacket.spreading_deviation(packet, runs, law, res.notes)
         res.outputs["truncation_bound"] = _q(truncation_bound(packet), "dimensionless")
-        res.notes.append("gaussian oracle compares nodes above 1e-8 of the peak closed-form density")
     if "single_mode" in kinds:
         mode = SingleMode(k0=params["k0"])
         worst = 0.0
@@ -420,7 +426,16 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
 def _run_collapse(params: dict, seed: int) -> ScenarioResult:
     p = ParticleModel(total_energy=params["e_total"])
     convention = _CONVENTIONS[params["convention"]]
-    _band(p, 0.0, convention, "")
+    k_hi = _band(p, 0.0, convention, "").k_hi
+    # the flat ball's density peaks at the origin; twice its amplitude, headroom for quadrature
+    # rounding, must still square in a double
+    with np.errstate(over="ignore"):
+        squarable = np.isfinite((2.0 * _origin_amplitude(p, k_hi)) ** 2)
+    if not squarable:
+        raise _CliError(
+            f"e_total = {p.total_energy:g} leaves a band up to k_hi = {k_hi:g}, whose origin density "
+            "overflows a double; lower e_total"
+        )
     filtered = apply_retarding_filter(p, params["e_rfa"], convention)
     k1, k0 = filtered.after.k_lo, filtered.after.k_hi
     # the surviving shell's odd node count must find room for distinct nodes between k1 and k0

@@ -151,6 +151,11 @@ class TestValidationPaths:
             (["ensemble", "--set", "potentials=-5e158", "--set", "r_min=1"], "the density at potential -5e+158 overflows"),
             (["collapse", "--set", "e_rfa=0.9999999999999999"], "e_rfa = 0.9999999999999999 leaves a surviving band"),
             (["collapse", "--set", "e_total=1e-300"], "e_total = 1e-300 leaves a band up to"),
+            (["collapse", "--set", "e_total=6.823323883333878e+102"], "whose origin density overflows a double"),
+            (
+                ["collapse", "--set", "convention=double", "--set", "n_k=1059", "--set", "e_total=1.943837135220142e+222"],
+                "e_total = 1.94384e+222 leaves a band up to k_hi = 1.97172e+111, whose origin density overflows",
+            ),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -194,6 +199,29 @@ class TestScenarioRuns:
         assert code == 0
         delta = json.loads(stdout)["oracle_deltas"]["gaussian_vs_closed_form"]
         assert delta["value"] <= 1e-4
+
+    def test_gaussian_far_tail_grid_passes_with_notes(self, capsys, tmp_path):
+        # every node sits below 1e-14 of the packet's peak once t >= 0.5
+        argv = ["spread", "--set", "packet=gaussian", "--set", "x_max=-2.7", "--set", "n_x=1912"]
+        code, stdout, _ = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 0
+        report = json.loads(stdout)
+        assert report["oracle_deltas"]["gaussian_vs_closed_form"]["within"]
+        faint = "no node at t = {} reaches 1e-8 of the gaussian peak; only the absolute bound applies"
+        assert report["notes"][1:] == [faint.format(t) for t in ("0.5", "1", "2")]
+
+    @pytest.mark.parametrize("x_max", ["25", "-2.7"])
+    def test_gaussian_offset_density_exits_two(self, x_max, capsys, tmp_path, monkeypatch):
+        def perturbed(*args, **kwargs):
+            field = wavepacket.propagate(*args, **kwargs)
+            return dataclasses.replace(field, values=field.values * np.sqrt(1.0 + 2e-4))
+
+        monkeypatch.setattr(cli, "propagate", perturbed)
+        argv = ["spread", "--set", "packet=gaussian", "--set", f"x_max={x_max}", "--set", "n_x=1912"]
+        code, stdout, _ = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 2
+        delta = json.loads(stdout)["oracle_deltas"]["gaussian_vs_closed_form"]
+        assert not delta["within"] and delta["unit"] == "relative to peak"
 
     def test_smallest_normal_band_stays_within_tolerance(self, capsys, tmp_path):
         # k^3 = 3.2e-308 is just above the smallest normal double
@@ -348,8 +376,26 @@ class TestTableWriter:
             ("rho", "1/length", np.array(column)),
             ("k", "count", np.full(n, 3)),
         ]
-        text = _render_table(fmt, result, "t", {})
+        text = "".join(_render_table(fmt, result, "t", {}))
         assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {}))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [("x", "length", np.linspace(0.0, 1.0, 3)), ("tag", "label", ["%, %% and %s"] * 3)],
+            [("n", "count", np.arange(4)), ("k", "count", np.full(4, -7))],
+            [("say", "label", ['"50%", then %s'] * 2), ("who", "label", ["a", "b,c"])],
+            [("rho", "1/length", np.ones(3)), ("k", "count", np.full(3, 3)), ("tag", "label", ["%s%%"] * 3)],
+            [("tag", "label", [""] * 3)],
+        ],
+        ids=["percent-label", "constant-int", "csv-quoted-label", "no-varying-column", "lone-empty-label"],
+    )
+    def test_constant_text_columns_match_per_cell_reference(self, columns, fmt):
+        # a constant column is literal template text, so each % in it must reach the file once
+        result = ScenarioResult(geometry="none", columns=columns)
+        text = "".join(_render_table(fmt, result, "t", {"note": "100%"}))
+        assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {"note": "100%"}))
 
 
 # finite doubles from any bit pattern, subnormals from the low 52 bits of either sign
@@ -393,7 +439,7 @@ class TestRendererProperty:
         @example(result=lone_empty, fmt="csv")
         @example(result=lone_empty, fmt="json")
         def check(result, fmt):
-            text = _render_table(fmt, result, "t", {"scale": [-0.0, 2.5]})
+            text = "".join(_render_table(fmt, result, "t", {"scale": [-0.0, 2.5]}))
             if fmt == "csv":
                 assert text == _csv_reference(result)
             else:
@@ -612,6 +658,16 @@ def test_cli_import_leaves_out_logging():
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
+def test_package_import_leaves_out_submodules():
+    # the package re-exports nothing, so importing it loads neither the numerics nor numpy
+    src = os.path.dirname(os.path.dirname(qensemble.__file__))
+    code = "import sys, qensemble; print(sorted({'qensemble.numerics', 'numpy'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 class TestSelftest:
     def test_selftest_is_green_and_deterministic(self, capsys):
         code1, out1, _ = run(["selftest"], capsys)
@@ -659,7 +715,11 @@ def _param_values(scenario, fixed):
         "floats": st.lists(floats(), max_size=4),
         "bool": st.booleans(),
     }
-    optional = {key: kinds[spec.kind] for key, spec in SCENARIO_PARAMS[scenario].items() if key not in fixed}
+    optional = {
+        key: st.sampled_from(spec.choices) if spec.kind == "choice" else kinds[spec.kind]
+        for key, spec in SCENARIO_PARAMS[scenario].items()
+        if key not in fixed
+    }
     return st.fixed_dictionaries({}, optional=optional)
 
 
@@ -684,6 +744,16 @@ _GAUSSIAN_SPREAD_EXAMPLES = (
     {"b": 1.5636165044757184e-150, "k0": 2.0445899274311264e16, "n_k": 235, "times": [-1.7261142292378744e16]},
 )
 
+# per (scenario, fixed packet): gaussian `spread` as above; `collapse` bands whose origin density
+# overflows, at the edge of squaring and deep in the series moments
+_EXAMPLES = {
+    ("spread", "gaussian"): _GAUSSIAN_SPREAD_EXAMPLES,
+    ("collapse", None): (
+        {"e_total": 6.823323883333878e102},
+        {"convention": "double", "n_k": 1059, "e_total": 1.943837135220142e222},
+    ),
+}
+
 
 class TestExitContract:
     """Any parameter set ends in exit 0, 1 or 2, and exit 1 writes nothing."""
@@ -696,6 +766,8 @@ class TestExitContract:
             ("spread", {"packet": "single_mode"}),
             ("well", {}),
             ("spread", {"packet": "gaussian"}),
+            ("ensemble", {}),
+            ("collapse", {}),
         ],
     )
     def test_any_parameters_keep_the_exit_contract(self, scenario, fixed):
@@ -717,6 +789,6 @@ class TestExitContract:
                 if code == 1:
                     assert stdout.getvalue() == ""
 
-        for params in _GAUSSIAN_SPREAD_EXAMPLES if fixed == {"packet": "gaussian"} else ():
+        for params in _EXAMPLES.get((scenario, fixed.get("packet")), ()):
             check = example(params=params, fmt="csv")(check)
         check()

@@ -163,7 +163,8 @@ class TestClosedForms:
 
 class TestSpreadingOracle:
     def test_no_runs_is_zero(self):
-        assert spreading_deviation(GaussianPacket(b=1.0, k0=5.0), []) == (0.0, 1e-4, "relative")
+        # no node reached the mask, so the absolute bound is the one that applied
+        assert spreading_deviation(GaussianPacket(b=1.0, k0=5.0), []) == (0.0, 1e-10, "relative to peak")
 
     @pytest.mark.parametrize("b", [0.5, 1.0, 2.0])
     def test_propagated_density_is_within(self, b):
@@ -179,9 +180,38 @@ class TestSpreadingOracle:
         ref = closed_form_density(packet, x, 1.0) / 4.0
         faint = ref < 1e-8 * ref.max()
         assert faint.any() and not faint.all()
-        assert spreading_deviation(packet, [(1.0, x, np.where(faint, 1.0, ref))])[0] == 0.0
+        # below the mask only the absolute bound, 1e-10 of the peak, applies
+        assert spreading_deviation(packet, [(1.0, x, np.where(faint, ref + 1e-11 * ref.max(), ref))])[0] == 0.0
         off = np.where(faint, ref, ref * (1.0 + 2e-4))
-        assert spreading_deviation(packet, [(1.0, x, off)])[0] > 1e-4
+        # 2e-4 of the peak itself breaches the absolute bound first
+        value, tol, unit = spreading_deviation(packet, [(1.0, x, off)])
+        assert value > tol == 1e-10 and unit == "relative to peak"
+        # 2e-4 relative at these nodes is at most 2e-11 of the peak, so only the relative bound refuses it
+        band = (ref >= 1e-8 * ref.max()) & (ref < 1e-7 * ref.max())
+        assert band.any()
+        value, tol, unit = spreading_deviation(packet, [(1.0, x, np.where(band, ref * (1.0 + 2e-4), ref))])
+        assert value > tol == 1e-4 and unit == "relative"
+
+    def test_absolute_bound_holds_at_every_node(self):
+        packet = GaussianPacket(b=2.0, k0=0.0)
+        x = np.linspace(-30.0, 30.0, 601)
+        ref = closed_form_density(packet, x, 1.0) / 4.0
+        faint = ref < 1e-8 * ref.max()
+        value, tol, unit = spreading_deviation(packet, [(1.0, x, np.where(faint, 1.0, ref))])
+        assert value > tol == 1e-10 and unit == "relative to peak"
+
+    def test_mask_follows_the_packet_peak_not_the_grid(self):
+        # this grid holds only the far tail, below 1e-14 of the packet's peak at t = 2
+        packet = GaussianPacket(b=1.0, k0=5.0)
+        grid = Grid1D(-10.0, -2.7, 1912)
+        ref = closed_form_density(packet, grid.points(), 2.0)
+        notes = []
+        runs = [(2.0, grid.points(), propagate(packet, 2.0, grid).density())]
+        value, tol, unit = spreading_deviation(packet, runs, notes=notes)
+        assert value <= tol == 1e-10 and unit == "relative to peak"
+        assert notes == ["no node at t = 2 reaches 1e-8 of the gaussian peak; only the absolute bound applies"]
+        bumped = [(2.0, grid.points(), ref + 2e-10 / np.sqrt(5.0))]
+        assert not spreading_deviation(packet, bumped)[0] <= 1e-10
 
     def test_grid_without_density_is_rejected(self):
         packet = GaussianPacket(b=0.003549626833218614, k0=5.0)
