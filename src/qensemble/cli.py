@@ -597,6 +597,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qensemble", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -648,13 +649,14 @@ def _run_scenario(name: str, args) -> int:
             for key, (value, tol, unit) in result.oracle_deltas.items()
         },
         "notes": result.notes,
-        "wall_time_s": _q(0.0, "second"),
     }
     # a report that cannot be serialized exits 1 before the table is written
-    _dump_json(report)
+    text = _dump_json(report)
     _write_table(out_path, args.format, result, name, params)
-    report["wall_time_s"] = _q(time.perf_counter() - start, "second")
-    print(_dump_json(report), end="")
+    # wall_time_s is the last key: its entry alone replaces the closing "\n}\n"
+    wall = {"wall_time_s": _q(time.perf_counter() - start, "second")}
+    report.update(wall)
+    print(text[:-3] + "," + _dump_json(wall)[1:], end="")
     if breaches:
         worst = ", ".join(f"{k} = {_fmt_float(v)}" for k, v in breaches.items())
         print(f"qensemble {name}: oracle comparison failed: {worst}", file=sys.stderr)

@@ -170,14 +170,15 @@ def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
         raise ValueError("chirp-z synthesis needs uniformly spaced x")
     half_alpha = 0.5 * dx * dk
     m = np.arange(n_k)
-    lag = np.arange(-(n_k - 1), n_x)
+    # the lag chirp is even in the lag: computed for lags >= 0, mirrored for the rest
+    lag = np.arange(max(n_x, n_k))
     lag_chirp = np.exp(-1j * half_alpha * (lag * lag))
     size = 1 << (n_x + n_k - 2).bit_length()
     pre = w * np.exp(1j * (x0 * dk * m + half_alpha * (m * m)))
-    # circular layout: lags 0..n_x-1 at the front, negative lags at the back
+    # circular layout: lags 0..n_x-1 at the front, lags -(n_k-1)..-1 at the back
     chirp = np.zeros(size, dtype=np.complex128)
-    chirp[:n_x] = lag_chirp[n_k - 1 :]
-    chirp[size - n_k + 1 :] = lag_chirp[: n_k - 1]
+    chirp[:n_x] = lag_chirp[:n_x]
+    chirp[size - n_k + 1 :] = lag_chirp[n_k - 1 : 0 : -1]
     conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp))[:n_x]
     return np.exp(1j * (x_arr * k_lo + half_alpha * (j * j))) * conv
 
@@ -267,10 +268,12 @@ def radial_superposition(
     if kernel == "decaying":
         return pref * _decay_sum(wts * k, dk, np.abs(r_arr))
     # k^2 sin(kr)/(kr) = k Im e^{ikr} / r; the real and imaginary weights go
-    # through separately so that each keeps its own Im
-    out = np.empty(r_arr.shape, dtype=np.complex128)
-    out.real = _synthesize(wts.real, 0.0, dk, r_arr).imag
-    out.imag = _synthesize(wts.imag, 0.0, dk, r_arr).imag
+    # through separately so that each keeps its own Im; an all-zero half stays 0.0
+    out = np.zeros(r_arr.shape, dtype=np.complex128)
+    if wts.real.any():
+        out.real = _synthesize(wts.real, 0.0, dk, r_arr).imag
+    if wts.imag.any():
+        out.imag = _synthesize(wts.imag, 0.0, dk, r_arr).imag
     # the FFT's absolute rounding in Im does not shrink with r, so dividing
     # by r would magnify it without bound near the origin.  Nodes with
     # k_max |r| < 0.1 sum the series sin(kr)/r = k sum_j (-(kr)^2)^j/(2j+1)!

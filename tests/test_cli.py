@@ -258,6 +258,63 @@ class TestScenarioRuns:
         assert (tmp_path / "eraser.csv").exists()
 
 
+class TestProcessReuse:
+    """One process runs many calls on one parser and renders each report once."""
+
+    def test_overrides_do_not_leak_into_the_next_call(self, capsys, tmp_path):
+        out = str(tmp_path / "s.csv")
+        code, stdout, _ = run(["spread", "--set", "n_x=101", "--out", out], capsys)
+        assert code == 0 and json.loads(stdout)["inputs"]["params"]["n_x"]["value"] == 101
+        code, stdout, _ = run(["spread", "--out", out], capsys)
+        assert code == 0 and json.loads(stdout)["inputs"]["params"]["n_x"]["value"] == 1201
+
+    def test_help_after_a_run_lists_every_parameter(self, capsys, tmp_path):
+        assert run(["well", "--out", str(tmp_path / "w.csv")], capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["well", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(f"{key} [{spec.unit}]" in out for key, spec in SCENARIO_PARAMS["well"].items())
+
+    def test_bad_flag_after_a_run_exits_one_with_usage(self, capsys, tmp_path):
+        assert run(["eraser", "--out", str(tmp_path / "e.csv")], capsys)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["eraser", "--bogus"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments: --bogus" in err
+
+    @pytest.mark.parametrize("argv", [["eraser"], ["well", "--format", "json"], ["bomb", "--set", "n_trials=1000"]])
+    def test_printed_report_is_the_full_report_dumped(self, argv, capsys, tmp_path, monkeypatch):
+        reports = []
+
+        def recording(obj):
+            if isinstance(obj, dict) and "oracle_deltas" in obj:
+                reports.append(obj)
+            return _dump_json(obj)
+
+        monkeypatch.setattr(cli, "_dump_json", recording)
+        code, stdout, _ = run([*argv, "--out", str(tmp_path / "t.out")], capsys)
+        assert code == 0 and len(reports) == 1
+        report = reports[0]
+        assert list(report)[-1] == "wall_time_s"
+        assert report["wall_time_s"] == {"value": json.loads(stdout)["wall_time_s"]["value"], "unit": "second"}
+        assert _dump_json(report) == stdout
+
+    def test_unserializable_report_exits_one_without_output(self, capsys, tmp_path, monkeypatch):
+        def infinite(params, seed):
+            result = cli._run_eraser(params, seed)
+            result.outputs["route_constant"] = cli._q(float("inf"), "dimensionless")
+            return result
+
+        monkeypatch.setitem(cli.RUNNERS, "eraser", infinite)
+        out = tmp_path / "e.csv"
+        code, stdout, err = run(["eraser", "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert "refusing to serialize non-finite value inf" in err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_bomb_csv_is_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
@@ -656,6 +713,16 @@ def test_cli_import_leaves_out_logging():
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_cli_import_builds_no_parser():
+    # main builds the parser on its first call, so importing the module stays as cheap as before
+    src = os.path.dirname(os.path.dirname(qensemble.__file__))
+    code = "import qensemble.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
 
 
 def test_package_import_leaves_out_submodules():

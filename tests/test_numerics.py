@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sci
 from scipy.signal import czt
 
+from qensemble import numerics
 from qensemble.numerics import (
     ComplexField,
     Grid1D,
@@ -158,6 +159,30 @@ class TestRadialSuperposition:
         assert_allclose(inside[0].real, expected, rtol=1e-14)
         outside = radial_superposition(SingleMode(3.0), KBall(1.0), 2.0)
         assert outside[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "amplitude,calls,zero_half",
+        [
+            (lambda k: np.exp(-k), 1, "imag"),
+            (lambda k: -1j * np.exp(-k), 1, "real"),
+            (lambda k: (1.0 + 0.5j) * np.exp(-k), 2, None),
+        ],
+    )
+    def test_synthesizes_only_nonzero_weight_halves(self, amplitude, calls, zero_half, monkeypatch):
+        made = []
+
+        def counting(*args):
+            made.append(args)
+            return _synthesize(*args)
+
+        monkeypatch.setattr(numerics, "_synthesize", counting)
+        # r = 0 and the first nodes take the series, the rest the chirp-z sum
+        r = np.linspace(0.0, 8.0, 401)
+        psi = radial_superposition(amplitude, KBall(1.5, 301), r)
+        assert len(made) == calls
+        if zero_half is not None:
+            skipped = getattr(psi, zero_half)
+            assert np.all(skipped == 0.0) and not np.signbit(skipped).any()
 
 
 def flat_ball_oscillatory(K, r):
@@ -363,6 +388,36 @@ class TestSynthesize:
         via_fft = 0.5 * (w.sum() + doubled.real)
         ref = np.cos(np.outer(inner, k)) ** 2 @ w
         assert np.abs(via_fft - ref).max() <= 1e-10 * np.abs(w).sum()
+
+    @staticmethod
+    def full_lag_reference(wts, k_lo, dk, x):
+        """_synthesize with the chirp evaluated at every lag -(n_k-1) .. n_x-1."""
+        x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        w = np.asarray(wts, dtype=np.complex128)
+        n_x, n_k = x_arr.size, w.size
+        x0 = x_arr[0]
+        dx = (x_arr[-1] - x0) / (n_x - 1) if n_x > 1 else 0.0
+        j, m = np.arange(n_x), np.arange(n_k)
+        half_alpha = 0.5 * dx * dk
+        lag = np.arange(-(n_k - 1), n_x)
+        lag_chirp = np.exp(-1j * half_alpha * (lag * lag))
+        size = 1 << (n_x + n_k - 2).bit_length()
+        pre = w * np.exp(1j * (x0 * dk * m + half_alpha * (m * m)))
+        chirp = np.zeros(size, dtype=np.complex128)
+        chirp[:n_x] = lag_chirp[n_k - 1 :]
+        chirp[size - n_k + 1 :] = lag_chirp[: n_k - 1]
+        conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp))[:n_x]
+        return np.exp(1j * (x_arr * k_lo + half_alpha * (j * j))) * conv
+
+    @pytest.mark.parametrize(
+        "n_x,n_k",
+        [(37, 401), (3001, 1601), (512, 512), (1, 5), (1, 1), (7, 1)],
+    )
+    def test_mirrored_chirp_is_bit_identical_to_full_lags(self, n_x, n_k):
+        x, k, w = self.case(n_x, -9.0, 25.0, n_k, -3.0, 13.0)
+        dk = k[1] - k[0] if n_k > 1 else 0.1
+        out = _synthesize(w, -3.0, dk, x)
+        assert out.tobytes() == self.full_lag_reference(w, -3.0, dk, x).tobytes()
 
     def test_non_uniform_positions_rejected(self):
         w = np.ones(5, dtype=complex)
