@@ -156,7 +156,10 @@ def _coerce(scenario: str, key: str, raw: str):
         if spec.kind == "int":
             return int(raw)
         if spec.kind == "floats":
-            return _finite(key, raw, [float(tok) for tok in raw.split(",") if tok.strip() != ""])
+            values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+            if not values:
+                raise _CliError(f"parameter '{key}' rejects value '{raw}': {key} needs at least one value")
+            return _finite(key, raw, values)
         if spec.kind == "bool":
             lowered = raw.strip().lower()
             if lowered in ("true", "1", "yes", "on"):
@@ -325,8 +328,11 @@ def _render_table(fmt: str, result: ScenarioResult, scenario: str, params: dict)
 def _write_table(path: str, fmt: str, result: ScenarioResult, scenario: str, params: dict) -> None:
     # rendered in full first, so a value that cannot be written leaves no file
     parts = _render_table(fmt, result, scenario, params)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(parts)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(parts)
+    except OSError as exc:
+        raise _CliError(f"cannot write table {path}: {exc}") from exc
 
 
 def _q(value, unit: str) -> dict:

@@ -23,16 +23,16 @@ from typing import Callable
 import numpy as np
 
 from .numerics import (
+    TWO_PI,
     ArrayC,
     ArrayF,
     ComplexField,
     Grid1D,
     KBall,
     SingleMode,
-    _as_odd,
-    _spectral_nodes,
+    _simpson_rule,
+    _synthesize,
     integrate_real,
-    line_superposition,
     radial_superposition,
 )
 
@@ -272,9 +272,9 @@ def parseval_norm(p: ParticleModel, k: float, n_k: int = 2001) -> float:
     if k == 0.0:
         return 0.0
     chi = member_amplitude(p, KRange(0.0, k))
-    q = np.linspace(0.0, k, _as_odd(n_k))
+    q, _, dq = _simpson_rule(0.0, k, n_k)
     dens = np.abs(chi(q)) ** 2
-    return float(4.0 * np.pi * integrate_real(dens * q * q, q[1] - q[0]))
+    return float(4.0 * np.pi * integrate_real(dens * q * q, dq))
 
 
 def flat_norm_deviation(p: ParticleModel, k: float) -> tuple[float, float, str]:
@@ -318,9 +318,8 @@ def collapse_fraction(p: ParticleModel, filtered: FilteredEnsemble, n_k: int = 2
     def shell(rng: KRange) -> float:
         if rng.is_empty:
             return 0.0
-        q = np.linspace(rng.k_lo, rng.k_hi, _as_odd(n_k))
-        dens = p.mass * q * q
-        return float(4.0 * np.pi * integrate_real(dens, q[1] - q[0]))
+        q, _, dq = _simpson_rule(rng.k_lo, rng.k_hi, n_k)
+        return float(4.0 * np.pi * integrate_real(p.mass * q * q, dq))
 
     total = shell(before)
     if total == 0.0:
@@ -338,8 +337,9 @@ def uncertainty_product(
     """Position-momentum uncertainty product of a spectral amplitude.
 
     Builds the momentum density |chi(k)|^2 on the interval and the position
-    density of the synthesized wavefunction, takes second moments of each,
-    and returns Delta X * Delta P in units of hbar (so a Gaussian spectrum
+    density of psi(x) = (2 pi)^(-1/2) int chi(k) exp(ikx) dk, synthesized
+    from the same samples of chi, takes second moments of each, and
+    returns Delta X * Delta P in units of hbar (so a Gaussian spectrum
     gives 0.5).
 
     Parameters
@@ -361,12 +361,11 @@ def uncertainty_product(
     lo, hi = float(interval[0]), float(interval[1])
     if not (np.isfinite(lo) and np.isfinite(hi)) or hi <= lo:
         raise ValueError("interval must be finite with k_hi > k_lo")
-    k = _spectral_nodes(lo, hi, n_k)
+    k, w, dk = _simpson_rule(lo, hi, n_k)
     amp = np.asarray(amplitude(k), dtype=np.complex128)
     if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
         raise ValueError("spectrum must be finite on the interval")
     rho_k = np.abs(amp) ** 2
-    dk = k[1] - k[0]
     norm_k = integrate_real(rho_k, dk)
     if not np.isfinite(norm_k) or norm_k <= 0.0:
         raise ValueError("spectrum is not normalizable on the interval")
@@ -377,10 +376,8 @@ def uncertainty_product(
     sigma_k = float(np.sqrt(var_k))
 
     half = x_halfwidth if x_halfwidth is not None else 40.0 / sigma_k
-    x = np.linspace(-half, half, _as_odd(n_x))
-    psi = line_superposition(amplitude, (lo, hi), x, n_k=n_k)
-    rho_x = np.abs(psi) ** 2
-    dx = x[1] - x[0]
+    x, _, dx = _simpson_rule(-half, half, n_x)
+    rho_x = np.abs(TWO_PI**-0.5 * _synthesize(w * amp, lo, dk, x)) ** 2
     norm_x = integrate_real(rho_x, dx)
     if not np.isfinite(norm_x) or norm_x <= 0.0:
         raise ValueError("synthesized density is not normalizable")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -106,9 +106,6 @@ class SingleMode:
             raise ValueError("k0 must be finite")
 
 
-Amplitude = Union[Callable[[ArrayF], ArrayC], SingleMode]
-
-
 def _as_odd(n: int) -> int:
     return n if n % 2 == 1 else n + 1
 
@@ -139,11 +136,13 @@ def _simpson_weights(n: int, h: float) -> ArrayF:
     return w
 
 
-def _spectral_nodes(lo: float, hi: float, n_k: int) -> ArrayF:
-    """Odd count of uniform quadrature nodes on [lo, hi], at least 3."""
-    if n_k < 2:
+def _simpson_rule(lo: float, hi: float, n: int) -> tuple[ArrayF, ArrayF, float]:
+    """Uniform nodes on [lo, hi], n rounded up to odd, with their composite Simpson weights and spacing."""
+    if n < 2:
         raise ValueError("spectral quadrature needs at least 2 nodes")
-    return np.linspace(lo, hi, _as_odd(n_k))
+    nodes = np.linspace(lo, hi, _as_odd(n))
+    h = nodes[1] - nodes[0]
+    return nodes, _simpson_weights(nodes.size, h), h
 
 
 def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
@@ -233,7 +232,7 @@ def integrate_ball(radial_samples: ArrayC, ball: KBall) -> complex:
 
 
 def radial_superposition(
-    amplitude: Amplitude,
+    amplitude: Callable[[ArrayF], ArrayC],
     ball: KBall,
     r,
     kernel: str = "oscillatory",
@@ -249,22 +248,11 @@ def radial_superposition(
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if kernel not in ("oscillatory", "decaying"):
         raise ValueError("kernel must be 'oscillatory' or 'decaying'")
-    pref = TWO_PI ** -1.5 * 4.0 * np.pi
-    if isinstance(amplitude, SingleMode):
-        k0 = amplitude.k0
-        if not (0.0 <= k0 <= ball.k_max):
-            return np.zeros(r_arr.shape, dtype=np.complex128)
-        if kernel == "oscillatory":
-            kern = np.sinc(k0 * r_arr / np.pi)  # np.sinc carries a pi
-        else:
-            kern = np.exp(-k0 * np.abs(r_arr))
-        return (pref * k0 * k0 * kern).astype(np.complex128)
-    k = ball.nodes()
     if ball.k_max == 0.0:
         return np.zeros(r_arr.shape, dtype=np.complex128)
-    dk = k[1] - k[0]
-    amp = np.asarray(amplitude(k), dtype=np.complex128)
-    wts = _simpson_weights(k.size, dk) * k * amp
+    pref = TWO_PI ** -1.5 * 4.0 * np.pi
+    k, w, dk = _simpson_rule(0.0, ball.k_max, ball.n_k)
+    wts = w * k * np.asarray(amplitude(k), dtype=np.complex128)
     if kernel == "decaying":
         return pref * _decay_sum(wts * k, dk, np.abs(r_arr))
     # k^2 sin(kr)/(kr) = k Im e^{ikr} / r; the real and imaginary weights go
@@ -292,32 +280,3 @@ def radial_superposition(
         out[small] = series
     return pref * out
 
-
-def line_superposition(
-    amplitude: Amplitude,
-    interval,
-    x,
-    n_k: int = 2001,
-) -> ArrayC:
-    """1-D Fourier synthesis over a wavenumber interval.
-
-    Evaluates (2*pi)**(-1/2) * int_{k_lo}^{k_hi} chi(k) exp(i k x) dk,
-    vectorized over x.  x must be a scalar or uniformly spaced (see
-    _synthesize); other x raise ValueError.
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    lo, hi = float(interval[0]), float(interval[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or hi < lo:
-        raise ValueError("interval must be finite with k_hi >= k_lo")
-    pref = TWO_PI ** -0.5
-    if isinstance(amplitude, SingleMode):
-        k0 = amplitude.k0
-        if not (lo <= k0 <= hi):
-            return np.zeros(x_arr.shape, dtype=np.complex128)
-        return pref * np.exp(1j * k0 * x_arr)
-    if hi == lo:
-        return np.zeros(x_arr.shape, dtype=np.complex128)
-    k = _spectral_nodes(lo, hi, n_k)
-    dk = k[1] - k[0]
-    amp = np.asarray(amplitude(k), dtype=np.complex128)
-    return pref * _synthesize(_simpson_weights(k.size, dk) * amp, lo, dk, x_arr)

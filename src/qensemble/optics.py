@@ -246,8 +246,8 @@ def formalism_agreement(
     for name, value in (("e_amp", e_amp), ("b_amp", b_amp), ("c", c)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if n_phases < 1:
-        raise ValueError(f"n_phases must be at least 1, got {n_phases}")
+    if n_phases < 2:
+        raise ValueError(f"n_phases must be at least 2, got {n_phases}")
     phases = np.linspace(0.0, 2.0 * np.pi, n_phases, endpoint=False)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         field_curves = {s.value: _field_sweep(s, phases, e_amp, b_amp, c) for s in EraserStage}
@@ -330,10 +330,7 @@ def mz_probabilities(cfg: MZConfig) -> MZProbabilities:
     r = float(cfg.reflectivity)
     t = 1.0 - r
     if not cfg.bomb_present:
-        dark = 0.0
-        absorbed = 0.0
-        bright = 1.0 - dark - absorbed
-        return MZProbabilities(bright=bright, dark=dark, absorbed=absorbed)
+        return MZProbabilities(bright=1.0, dark=0.0, absorbed=0.0)
     absorbed = r
     bright = t * t
     dark = 1.0 - absorbed - bright

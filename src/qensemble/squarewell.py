@@ -23,10 +23,8 @@ from .ensemble import ParticleModel
 from .numerics import (
     ArrayF,
     Grid1D,
-    _as_odd,
     _decay_sum,
-    _simpson_weights,
-    _spectral_nodes,
+    _simpson_rule,
     _synthesize,
     integrate_real,
 )
@@ -192,9 +190,9 @@ def normalization_audit(
     ratio instead of asserting it.
     """
     half = cfg.x0 + tail_lengths / member.k2
-    x = np.linspace(-half, half, _as_odd(n))
+    x, _, dx = _simpson_rule(-half, half, n)
     vals = member_wavefunction(member, cfg, x)
-    integral = integrate_real(vals * vals, x[1] - x[0])
+    integral = integrate_real(vals * vals, dx)
     return NormalizationAudit(integral=float(integral), expected=cfg.particle.mass)
 
 
@@ -243,9 +241,7 @@ def _raw_density(cfg: WellConfig, x: ArrayF, n_k: int, resonance_tol: float) -> 
     rho = np.zeros(x.shape)
 
     # interior branch
-    k1 = _spectral_nodes(0.0, cfg.k0, n_k)
-    dk1 = k1[1] - k1[0]
-    w1 = _simpson_weights(k1.size, dk1)
+    k1, w1, dk1 = _simpson_rule(0.0, cfg.k0, n_k)
     k2_of_k1 = _paired_wavenumber(cfg, k1)
     resonant = resonant_members(cfg, k1, resonance_tol)
     if np.all(resonant):
@@ -265,9 +261,7 @@ def _raw_density(cfg: WellConfig, x: ArrayF, n_k: int, resonance_tol: float) -> 
         rho[inner] = 0.5 * (np.sum(wts) + doubled.real)
 
     # exterior branch
-    k2 = _spectral_nodes(0.0, cfg.k0_prime, n_k)
-    dk2 = k2[1] - k2[0]
-    w2 = _simpson_weights(k2.size, dk2)
+    k2, w2, dk2 = _simpson_rule(0.0, cfg.k0_prime, n_k)
     k1_of_k2 = _paired_wavenumber(cfg, k2)
     scale_out = m * k2 / (1.0 + k2 * x0) * np.cos(k1_of_k2 * x0) ** 2
     outer = ax > x0

@@ -26,8 +26,7 @@ from .numerics import (
     Grid1D,
     SingleMode,
     _as_odd,
-    _simpson_weights,
-    _spectral_nodes,
+    _simpson_rule,
     _synthesize,
 )
 
@@ -152,14 +151,12 @@ def propagate(
     spec = GaussianSpectrum(packet.b, packet.k0)
     lo, hi = spectral_window(packet)
     n = n_k if n_k is not None else _auto_nodes(packet, t, grid, disp)
-    k = _spectral_nodes(lo, hi, n)
-    dk = k[1] - k[0]
+    k, w, dk = _simpson_rule(lo, hi, n)
     with np.errstate(over="ignore", invalid="ignore"):
         turn = np.exp(-1j * disp.omega(k) * t)
     if not np.isfinite(turn).all():
         raise ValueError(f"phase omega(k) t overflows for k0 = {packet.k0:g}, b = {packet.b:g}, t = {t:g}")
-    wts = _simpson_weights(k.size, dk) * spec(k) * turn
-    return ComplexField(grid, (2.0 * np.pi) ** -0.5 * _synthesize(wts, lo, dk, x))
+    return ComplexField(grid, (2.0 * np.pi) ** -0.5 * _synthesize(w * spec(k) * turn, lo, dk, x))
 
 
 def closed_form_density(
@@ -228,8 +225,8 @@ def intrinsic_potential(amplitude, p: ParticleModel, k: float) -> ArrayF:
     return pref * (np.abs(amp) ** 2)
 
 
-def intrinsic_force(amplitude, p: ParticleModel, k: float, spacing: float) -> ArrayF:
-    """Force -grad(phi) through the product form psi* grad psi + c.c.
+def _product_gradient(amplitude, spacing: float) -> ArrayF:
+    """psi* grad psi + c.c. = 2 Re(psi* grad psi) of samples with the given spacing.
 
     The gradient is central-difference on interior nodes and one-sided at
     the two boundary nodes, which are therefore first-order only.
@@ -237,20 +234,18 @@ def intrinsic_force(amplitude, p: ParticleModel, k: float, spacing: float) -> Ar
     if spacing <= 0.0:
         raise ValueError("spacing must be positive")
     psi = np.asarray(amplitude, dtype=np.complex128)
-    grad = np.gradient(psi, spacing)
-    pair = (np.conj(psi) * grad).real * 2.0
+    return (np.conj(psi) * np.gradient(psi, spacing)).real * 2.0
+
+
+def intrinsic_force(amplitude, p: ParticleModel, k: float, spacing: float) -> ArrayF:
+    """Force -grad(phi) through the product form psi* grad psi + c.c."""
     pref = (p.hbar * k / p.mass) ** 2
-    return -pref * pair
+    return -pref * _product_gradient(amplitude, spacing)
 
 
 def equilibrium_check(amplitude, spacing: float) -> float:
     """Max-norm of psi* grad psi + c.c.; zero exactly for constant envelopes."""
-    if spacing <= 0.0:
-        raise ValueError("spacing must be positive")
-    psi = np.asarray(amplitude, dtype=np.complex128)
-    grad = np.gradient(psi, spacing)
-    residual = np.abs((np.conj(psi) * grad).real * 2.0)
-    return float(residual.max())
+    return float(np.abs(_product_gradient(amplitude, spacing)).max())
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,17 @@ class TestValidationPaths:
         assert code == 1
         assert "cannot read config file" in err
 
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_exits_one_without_traceback(self, where, capsys, tmp_path):
+        out = tmp_path / "absent" / "x.csv" if where == "missing_dir" else tmp_path
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, err = run(["eraser", "--out", str(out)], capsys)
+        assert code == 1
+        assert f"cannot write table {out}" in err
+        assert "Traceback" not in err
+        assert stdout == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_invalid_geometry(self, capsys, tmp_path):
         code, _, err = run(
             ["ensemble", "--set", "n_r=1", "--out", str(tmp_path / "t.csv")], capsys
@@ -156,6 +167,10 @@ class TestValidationPaths:
                 ["collapse", "--set", "convention=double", "--set", "n_k=1059", "--set", "e_total=1.943837135220142e+222"],
                 "e_total = 1.94384e+222 leaves a band up to k_hi = 1.97172e+111, whose origin density overflows",
             ),
+            (["ensemble", "--set", "potentials="], "potentials needs at least one value"),
+            (["spread", "--set", "times="], "times needs at least one value"),
+            (["spread", "--set", "times=,"], "times needs at least one value"),
+            (["eraser", "--set", "n_phases=1"], "n_phases must be at least 2"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):

@@ -24,7 +24,7 @@ from qensemble.ensemble import (
     potential_wavefunction,
     uncertainty_product,
 )
-from qensemble.numerics import Grid1D, KBall, SingleMode, _simpson_weights
+from qensemble.numerics import Grid1D, SingleMode, _simpson_rule
 
 
 class TestParticleModel:
@@ -155,8 +155,8 @@ class TestWavefunctions:
         ref = np.empty(grid.n, dtype=complex)
         for j, (r, v) in enumerate(zip(grid.points(), pot(grid.points()))):
             rng = allowed_k_range(p, float(v))
-            k = KBall(rng.k_hi, 401).nodes()
-            w = _simpson_weights(k.size, k[1] - k[0]) * k * k * member_amplitude(p, rng)(k)
+            k, w, _ = _simpson_rule(0.0, rng.k_hi, 401)
+            w = w * k * k * member_amplitude(p, rng)(k)
             if rng.regime is Regime.DECAYING:
                 kern = np.exp(-k * r)
             else:
@@ -242,6 +242,16 @@ class TestUncertaintyProduct:
     def test_width_scaling_leaves_product(self):
         narrow = uncertainty_product(lambda k: np.exp(-k * k * 4.0**2 / 2.0), (-5.0, 5.0))
         assert abs(narrow - 0.5) <= 1e-6
+
+    def test_evaluates_the_spectrum_once(self):
+        calls = []
+
+        def spectrum(k):
+            calls.append(k.size)
+            return np.exp(-k * k / 2.0)
+
+        uncertainty_product(spectrum, (-20.0, 20.0), n_k=400)
+        assert calls == [401]
 
     def test_rejects_single_mode(self):
         with pytest.raises(ValueError):

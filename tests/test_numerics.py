@@ -13,12 +13,11 @@ from qensemble.numerics import (
     ComplexField,
     Grid1D,
     KBall,
-    SingleMode,
     _decay_sum,
+    _simpson_rule,
     _synthesize,
     integrate_ball,
     integrate_real,
-    line_superposition,
     radial_superposition,
 )
 
@@ -151,14 +150,6 @@ class TestRadialSuperposition:
             radial_superposition(
                 lambda k: np.ones_like(k, dtype=complex), KBall(1.0), 0.5, kernel="weird"
             )
-
-    def test_single_mode_sifting(self):
-        mode = SingleMode(0.5)
-        inside = radial_superposition(mode, KBall(1.0), 2.0)
-        expected = TWO_PI**-1.5 * 4.0 * np.pi * 0.25 * np.sin(1.0) / 1.0
-        assert_allclose(inside[0].real, expected, rtol=1e-14)
-        outside = radial_superposition(SingleMode(3.0), KBall(1.0), 2.0)
-        assert outside[0] == 0.0
 
     @pytest.mark.parametrize(
         "amplitude,calls,zero_half",
@@ -304,36 +295,40 @@ class TestDecaySum:
         assert np.abs(out - dense).max() <= 1e-13 * np.abs(w).sum()
 
 
+def line_synthesis(amplitude, lo, hi, x, n_k=2001):
+    """(2 pi)^(-1/2) int_lo^hi chi(k) exp(i k x) dk on the Simpson rule, as uncertainty_product builds it."""
+    k, w, dk = _simpson_rule(lo, hi, n_k)
+    return TWO_PI**-0.5 * _synthesize(w * amplitude(k), lo, dk, x)
+
+
 class TestLineSuperposition:
+    """The Simpson rule and the chirp-z synthesis together, on a flat band."""
+
     def test_flat_band_closed_form(self):
         K = 2.0
         x = np.linspace(-5.0, 5.0, 401)
-        psi = line_superposition(lambda k: np.ones_like(k, dtype=complex), (-K, K), x)
+        psi = line_synthesis(lambda k: np.ones_like(k, dtype=complex), -K, K, x)
         with np.errstate(invalid="ignore"):
             ref = 2.0 * np.sin(K * x) / x / math.sqrt(TWO_PI)
         ref[x == 0.0] = 2.0 * K / math.sqrt(TWO_PI)
         assert np.abs(psi.real - ref).max() <= 1e-10
         assert np.abs(psi.imag).max() <= 1e-12
 
-    def test_single_mode_inside_and_outside(self):
-        x = np.linspace(-1.0, 1.0, 11)
-        inside = line_superposition(SingleMode(0.5), (0.0, 1.0), x)
-        assert_allclose(inside, np.exp(0.5j * x) / math.sqrt(TWO_PI), rtol=0.0, atol=1e-15)
-        outside = line_superposition(SingleMode(2.0), (0.0, 1.0), x)
-        assert np.all(outside == 0.0)
-
     def test_flat_band_origin_value(self):
         flat = lambda k: np.ones_like(k, dtype=complex)  # noqa: E731
-        one = line_superposition(flat, (0.0, 1.0), Grid1D(0.0, 1.0, 3).points())
+        one = line_synthesis(flat, 0.0, 1.0, Grid1D(0.0, 1.0, 3).points())
         assert_allclose(one[0].real, 1.0 / math.sqrt(TWO_PI), rtol=1e-12)
-
-    def test_empty_interval_gives_zero(self):
-        psi = line_superposition(lambda k: np.ones_like(k, dtype=complex), (1.0, 1.0), 0.3)
-        assert psi[0] == 0.0
 
     def test_single_spectral_node_is_rejected(self):
         with pytest.raises(ValueError, match="at least 2 nodes"):
-            line_superposition(lambda k: np.ones_like(k, dtype=complex), (0.0, 1.0), 0.0, n_k=1)
+            _simpson_rule(0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 2001])
+    def test_rule_rounds_up_to_odd_simpson_nodes(self, n):
+        k, w, dk = _simpson_rule(-0.5, 1.5, n)
+        assert k.size == (n | 1) and k[0] == -0.5 and k[-1] == 1.5
+        assert dk == k[1] - k[0]
+        assert_allclose(w, odd_simpson_weights(k), rtol=1e-14, atol=0.0)
 
 
 class TestSynthesize:

@@ -166,7 +166,7 @@ class TestEraser:
         report = formalism_agreement(n_phases=32, e_amp=2.0, b_amp=2.0)
         assert abs(report.constant - 4.0) <= 1e-12
 
-    @pytest.mark.parametrize("n_phases", [1, 64, 257])
+    @pytest.mark.parametrize("n_phases", [2, 64, 257])
     @pytest.mark.parametrize("e_amp,b_amp,c", [(1.0, 1.0, 1.0), (0.7, 1.9, 1.0), (2.5, 0.6, 3.0)])
     def test_sweep_equals_per_phase_route(self, n_phases, e_amp, b_amp, c):
         report = formalism_agreement(n_phases=n_phases, e_amp=e_amp, b_amp=b_amp, c=c)
@@ -182,10 +182,11 @@ class TestEraser:
             ({"e_amp": math.nan}, "e_amp must be finite"),
             ({"b_amp": math.inf}, "b_amp must be finite"),
             ({"c": -math.inf}, "c must be finite"),
-            ({"n_phases": 0}, "n_phases must be at least 1"),
+            ({"n_phases": 0}, "n_phases must be at least 2"),
             ({"e_amp": 1e200}, "overflow for e_amp = 1e+200"),
             ({"b_amp": 1e160}, "overflow for e_amp = 1, b_amp = 1e+160"),
             ({"c": 1e-300}, "c = 1e-300"),
+            ({"n_phases": 1}, "n_phases must be at least 2"),
         ],
     )
     def test_degenerate_sweep_rejected(self, kwargs, message):
