@@ -32,7 +32,7 @@ from .numerics import (
     SingleMode,
     _simpson_rule,
     _synthesize,
-    integrate_real,
+    integrate_weighted,
     radial_superposition,
 )
 
@@ -272,9 +272,9 @@ def parseval_norm(p: ParticleModel, k: float, n_k: int = 2001) -> float:
     if k == 0.0:
         return 0.0
     chi = member_amplitude(p, KRange(0.0, k))
-    q, _, dq = _simpson_rule(0.0, k, n_k)
+    q, w, _ = _simpson_rule(0.0, k, n_k)
     dens = np.abs(chi(q)) ** 2
-    return float(4.0 * np.pi * integrate_real(dens * q * q, dq))
+    return float(4.0 * np.pi * integrate_weighted(dens * q * q, w))
 
 
 def flat_norm_deviation(p: ParticleModel, k: float) -> tuple[float, float, str]:
@@ -318,8 +318,8 @@ def collapse_fraction(p: ParticleModel, filtered: FilteredEnsemble, n_k: int = 2
     def shell(rng: KRange) -> float:
         if rng.is_empty:
             return 0.0
-        q, _, dq = _simpson_rule(rng.k_lo, rng.k_hi, n_k)
-        return float(4.0 * np.pi * integrate_real(p.mass * q * q, dq))
+        q, w, _ = _simpson_rule(rng.k_lo, rng.k_hi, n_k)
+        return float(4.0 * np.pi * integrate_weighted(p.mass * q * q, w))
 
     total = shell(before)
     if total == 0.0:
@@ -366,21 +366,21 @@ def uncertainty_product(
     if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
         raise ValueError("spectrum must be finite on the interval")
     rho_k = np.abs(amp) ** 2
-    norm_k = integrate_real(rho_k, dk)
+    norm_k = integrate_weighted(rho_k, w)
     if not np.isfinite(norm_k) or norm_k <= 0.0:
         raise ValueError("spectrum is not normalizable on the interval")
-    mean_k = integrate_real(rho_k * k, dk) / norm_k
-    var_k = integrate_real(rho_k * (k - mean_k) ** 2, dk) / norm_k
+    mean_k = integrate_weighted(rho_k * k, w) / norm_k
+    var_k = integrate_weighted(rho_k * (k - mean_k) ** 2, w) / norm_k
     if var_k <= 0.0:
         raise ValueError("spectrum second moment vanishes")
     sigma_k = float(np.sqrt(var_k))
 
     half = x_halfwidth if x_halfwidth is not None else 40.0 / sigma_k
-    x, _, dx = _simpson_rule(-half, half, n_x)
+    x, w_x, _ = _simpson_rule(-half, half, n_x)
     rho_x = np.abs(TWO_PI**-0.5 * _synthesize(w * amp, lo, dk, x)) ** 2
-    norm_x = integrate_real(rho_x, dx)
+    norm_x = integrate_weighted(rho_x, w_x)
     if not np.isfinite(norm_x) or norm_x <= 0.0:
         raise ValueError("synthesized density is not normalizable")
-    mean_x = integrate_real(rho_x * x, dx) / norm_x
-    var_x = integrate_real(rho_x * (x - mean_x) ** 2, dx) / norm_x
+    mean_x = integrate_weighted(rho_x * x, w_x) / norm_x
+    var_x = integrate_weighted(rho_x * (x - mean_x) ** 2, w_x) / norm_x
     return float(np.sqrt(var_x * var_k))

@@ -207,10 +207,15 @@ def _decay_sum(wts, dk: float, d) -> NDArray:
 
 def integrate_real(values: ArrayF, spacing: float) -> float:
     """Simpson integral of real samples on a uniform grid."""
+    return integrate_weighted(values, _simpson_weights(np.size(values), spacing))
+
+
+def integrate_weighted(values: ArrayF, weights: ArrayF) -> float:
+    """Integral of real samples against quadrature weights, such as those _simpson_rule returns."""
     vals = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    return float(np.dot(_simpson_weights(vals.size, spacing), vals))
+    return float(np.dot(weights, vals))
 
 
 def integrate_ball(radial_samples: ArrayC, ball: KBall) -> complex:

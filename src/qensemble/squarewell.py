@@ -27,6 +27,7 @@ from .numerics import (
     _simpson_rule,
     _synthesize,
     integrate_real,
+    integrate_weighted,
 )
 
 
@@ -190,9 +191,9 @@ def normalization_audit(
     ratio instead of asserting it.
     """
     half = cfg.x0 + tail_lengths / member.k2
-    x, _, dx = _simpson_rule(-half, half, n)
+    x, w, _ = _simpson_rule(-half, half, n)
     vals = member_wavefunction(member, cfg, x)
-    integral = integrate_real(vals * vals, dx)
+    integral = integrate_weighted(vals * vals, w)
     return NormalizationAudit(integral=float(integral), expected=cfg.particle.mass)
 
 

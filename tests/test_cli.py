@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import os
+import runpy
 import struct
 import subprocess
 import sys
@@ -171,6 +172,8 @@ class TestValidationPaths:
             (["spread", "--set", "times="], "times needs at least one value"),
             (["spread", "--set", "times=,"], "times needs at least one value"),
             (["eraser", "--set", "n_phases=1"], "n_phases must be at least 2"),
+            (["bomb", "--set", f"n_trials={2**63}"], "n_trials must be at most 2**63 - 1"),
+            (["bomb", "--set", f"n_trials={10**30}"], "n_trials must be at most 2**63 - 1"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -244,6 +247,13 @@ class TestScenarioRuns:
         assert code == 0
         assert all(delta["within"] for delta in json.loads(stdout)["oracle_deltas"].values())
 
+    def test_bomb_draws_a_trillion_trials_at_once(self, capsys, tmp_path):
+        out = tmp_path / "bomb.csv"
+        code, _, _ = run(["bomb", "--set", f"n_trials={10**12}", "--out", str(out)], capsys)
+        assert code == 0
+        with out.open() as f:
+            assert sum(int(row["observed_count (count)"]) for row in csv.DictReader(f)) == 10**12
+
     def test_help_lists_each_parameter_with_its_help(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["well", "-h"])
@@ -271,6 +281,27 @@ class TestScenarioRuns:
         code, _, _ = run(["eraser"], capsys)
         assert code == 0
         assert (tmp_path / "eraser.csv").exists()
+
+
+class TestBenchmarkSeed:
+    def test_every_light_tables_bomb_call_passes_its_guard(self, capsys, tmp_path):
+        """The benchmark runs `bomb` at one fixed seed on a grid of (r, eta); every point stays inside 4 sigma."""
+        bench = runpy.run_path(
+            os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py")
+        )
+        grid = [(r, eta) for r in bench["BOMB_REFLECTIVITY"] for eta in bench["BOMB_EFFICIENCY"]]
+        assert grid
+        worst = 0.0
+        for r, eta in grid:
+            argv = [
+                "bomb", "--seed", str(bench["BOMB_SEED"]), "--set", f"reflectivity={r!r}",
+                "--set", f"efficiency={eta!r}", "--set", f"n_trials={bench['BOMB_TRIALS']}",
+                "--out", str(tmp_path / "bomb.csv"),
+            ]
+            code, stdout, _ = run(argv, capsys)
+            assert code == 0, argv
+            worst = max(worst, json.loads(stdout)["oracle_deltas"]["count_deviation_sigma"]["value"])
+        assert worst < 4.0
 
 
 class TestProcessReuse:

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sci
 from scipy.signal import czt
 
-from qensemble import numerics
+from qensemble import ensemble, numerics, squarewell
 from qensemble.numerics import (
     ComplexField,
     Grid1D,
@@ -18,6 +18,7 @@ from qensemble.numerics import (
     _synthesize,
     integrate_ball,
     integrate_real,
+    integrate_weighted,
     radial_superposition,
 )
 
@@ -92,6 +93,56 @@ class TestIntegrateReal:
         y = x**3 - 2.0 * x
         exact = (2.0**4 - 1.0) / 4.0 - (2.0**2 - 1.0)
         assert_allclose(integrate_real(y, x[1] - x[0]), exact, rtol=0.0, atol=1e-14)
+
+
+class TestRuleWeights:
+    """Integrals over _simpson_rule nodes take the rule's weights, which are bit for bit the rebuilt ones."""
+
+    @pytest.mark.parametrize("lo,hi,n", [(0.0, 1.0, 2), (-7.5, 2.25, 801), (0.0, 3.0, 40000)])
+    def test_weighted_integral_equals_spacing_form(self, lo, hi, n):
+        x, w, h = _simpson_rule(lo, hi, n)
+        vals = np.cos(x) ** 2 + x
+        assert integrate_weighted(vals, w) == integrate_real(vals, h)
+
+    def test_non_finite_values_are_refused(self):
+        _, w, _ = _simpson_rule(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="values must be finite"):
+            integrate_weighted(np.array([0.0, 1.0, np.nan, 1.0, 0.0]), w)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ensemble.parseval_norm(ensemble.ParticleModel(mass=2.0), 1.3),
+            lambda: ensemble.collapse_fraction(
+                ensemble.ParticleModel(), ensemble.apply_retarding_filter(ensemble.ParticleModel(), 0.25)
+            ),
+            lambda: ensemble.uncertainty_product(lambda k: np.exp(-k * k / 2.0), (-20.0, 20.0)),
+            lambda: squarewell.normalization_audit(squarewell.pair_member(_WELL, 0.5), _WELL).integral,
+        ],
+        ids=["parseval_norm", "collapse_fraction", "uncertainty_product", "normalization_audit"],
+    )
+    def test_callers_give_the_bits_of_rebuilt_weights(self, call, monkeypatch):
+        expected = call()
+        rules, taken = {}, []
+
+        def rule(lo, hi, n):
+            x, w, h = _simpson_rule(lo, hi, n)
+            rules[id(w)] = (w, h)
+            return x, w, h
+
+        def rebuilt(values, weights):
+            # every weight array an integral takes is one the rule returned
+            taken.append(weights)
+            return integrate_real(values, rules[id(weights)][1])
+
+        for module in (ensemble, squarewell):
+            monkeypatch.setattr(module, "_simpson_rule", rule)
+            monkeypatch.setattr(module, "integrate_weighted", rebuilt)
+        assert call() == expected
+        assert taken
+
+
+_WELL = squarewell.WellConfig(ensemble.ParticleModel.natural(total_energy=1.5), v0=4.0, x0=1.0)
 
 
 class TestIntegrateBall:
