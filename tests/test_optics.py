@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -352,6 +354,33 @@ class TestEfficiencyLedger:
         counts = [efficiency_account(cfg, 5000, seed=seed).counts for seed in range(5)]
         assert all(a != b for i, a in enumerate(counts) for b in counts[i + 1 :])
 
+    # n at and around the 2**18-trial chunks the per-trial ledger once counted in
+    @pytest.mark.parametrize(
+        "n",
+        [1, 2, 3, 4, 5, 7, 1000, 2**18 - 1, 2**18, 2**18 + 1, 3_000_000, 3_000_001],
+    )
+    def test_chunked_counts_equal_one_shot_draws(self, n):
+        for cfg in _LEDGER_CONFIGS:
+            assert efficiency_account(cfg, n, seed=2024).counts == _one_shot_counts(cfg, n, 2024), cfg
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 64])
+    def test_counts_do_not_depend_on_the_cpu_count(self, cpus, monkeypatch):
+        cfg = MZConfig(bomb_present=True, reflectivity=0.45, efficiency=0.3)
+        n = 3 * 2**18 + 11
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "process_cpu_count", lambda: cpus, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert efficiency_account(cfg, n, seed=5).counts == _one_shot_counts(cfg, n, 5)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("the ledger started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = MZConfig(bomb_present=True)
+        for n in (2**18, 3_000_000):
+            assert efficiency_account(cfg, n, seed=5).counts == _one_shot_counts(cfg, n, 5)
+
     @pytest.mark.parametrize("n", [1, 2, 7, 10**12, 2**63 - 1])
     @pytest.mark.parametrize("cfg", _LEDGER_CONFIGS)
     def test_counts_partition_any_n(self, n, cfg):
@@ -407,3 +436,20 @@ class TestEfficiencyLedger:
         for column, prob in zip(draws.T, p):
             empirical = np.cumsum(np.bincount(column, minlength=n + 1)) / runs
             assert np.max(np.abs(empirical - stats.binom.cdf(k, n, prob))) <= 0.015
+
+
+def _one_shot_counts(cfg, n_trials, seed):
+    """Ledger counts from the documented chain of three binomials on one Philox stream."""
+    probs = mz_probabilities(cfg)
+    rng = np.random.Generator(np.random.Philox(seed))
+    absorbed = int(rng.binomial(n_trials, probs.absorbed))
+    survivors = n_trials - absorbed
+    clicks = int(rng.binomial(survivors, cfg.efficiency))
+    unabsorbed = probs.bright + probs.dark
+    dark = int(rng.binomial(clicks, probs.dark / unabsorbed)) if unabsorbed > 0.0 else 0
+    return {
+        "absorbed": absorbed,
+        "detected_bright": clicks - dark,
+        "detected_dark": dark,
+        "undetected": survivors - clicks,
+    }
