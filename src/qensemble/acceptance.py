@@ -56,7 +56,6 @@ from .squarewell import (
     well_ensemble_density,
 )
 from .wavepacket import (
-    DispersionLaw,
     GaussianPacket,
     closed_form_density,
     equilibrium_check,
@@ -104,7 +103,7 @@ def check_quadrature_rules() -> tuple[bool, str]:
 
 def check_zero_potential_reduction() -> tuple[bool, str]:
     """A vanishing potential reproduces the free construction bit for bit."""
-    p = ParticleModel.natural()
+    p = ParticleModel()
     grid = Grid1D(0.0, 8.0, 161)
     free = free_wavefunction(p, grid)
     gated = potential_wavefunction(p, PotentialSpec.constant(0.0), grid)
@@ -115,7 +114,7 @@ def check_zero_potential_reduction() -> tuple[bool, str]:
 
 def check_decaying_tail_shape() -> tuple[bool, str]:
     """Above-barrier construction yields a real, positive, decreasing tail."""
-    p = ParticleModel.natural()
+    p = ParticleModel()
     kr = allowed_k_range(p, 3.0)
     grid = Grid1D(0.1, 4.0, 101)
     psi = potential_wavefunction(p, PotentialSpec.constant(3.0), grid)
@@ -134,7 +133,7 @@ def check_decaying_tail_shape() -> tuple[bool, str]:
 
 def check_filter_edge_cases() -> tuple[bool, str]:
     """Threshold zero passes everything; threshold above budget blocks all."""
-    p = ParticleModel.natural()
+    p = ParticleModel()
     open_gate = apply_retarding_filter(p, 0.0)
     identity = (
         open_gate.after.k_lo == open_gate.before.k_lo
@@ -154,7 +153,7 @@ def check_filter_edge_cases() -> tuple[bool, str]:
 
 def check_bound_state_normalization() -> tuple[bool, str]:
     """Member norm equals the mass exactly on the even bound-state condition."""
-    cfg = WellConfig(ParticleModel.natural(total_energy=1.5), v0=4.0, x0=1.0)
+    cfg = WellConfig(ParticleModel(total_energy=1.5), v0=4.0, x0=1.0)
     lo, hi = 1.0, 1.2
     f_lo = bound_state_residual(cfg, lo)
     for _ in range(200):
@@ -183,16 +182,15 @@ def check_bound_state_normalization() -> tuple[bool, str]:
 def check_packet_norm_transport() -> tuple[bool, str]:
     """Propagation conserves the norm and moves the centroid ballistically."""
     packet = GaussianPacket(b=1.0, k0=5.0)
-    law = DispersionLaw()
     grid = Grid1D(-30.0, 50.0, 4001)
     x = grid.points()
-    dens0 = propagate(packet, 0.0, grid, law).density()
-    dens2 = propagate(packet, 2.0, grid, law).density()
+    dens0 = propagate(packet, 0.0, grid).density()
+    dens2 = propagate(packet, 2.0, grid).density()
     norm0 = integrate_real(dens0, grid.spacing)
     norm2 = integrate_real(dens2, grid.spacing)
     drift = abs(norm2 / norm0 - 1.0)
     centroid = integrate_real(x * dens2, grid.spacing) / norm2
-    target = law.hbar * packet.k0 * 2.0 / law.mass
+    target = packet.k0 * 2.0
     transport = abs(centroid - target) / abs(target)
     leak = truncation_bound(packet)
     ok = drift <= 1e-6 and transport <= 1e-6 and leak <= 1e-14
@@ -273,7 +271,7 @@ def check_parseval_identity() -> tuple[bool, str]:
 
 def check_range_monotonicity() -> tuple[bool, str]:
     """Allowed range shrinks as the potential rises, with exact endpoints."""
-    p = ParticleModel.natural()
+    p = ParticleModel()
     targets = ((-3.0, 2.0), (0.0, 1.0), (0.5, math.sqrt(0.5)))
     worst = 0.0
     highs = []
@@ -308,19 +306,18 @@ def check_gaussian_spreading() -> tuple[bool, str]:
     asserted equal.
     """
     packet = GaussianPacket(b=1.0, k0=5.0)
-    law = DispersionLaw()
     runs = []
     worst_model = 0.0
     for t in (0.5, 1.0, 2.0):
-        tau = law.hbar * t / (law.mass * packet.b**2)
+        tau = t / packet.b**2
         sigma = packet.b * math.sqrt((1.0 + tau * tau) / 2.0)
-        center = law.hbar * packet.k0 * t / law.mass
+        center = packet.k0 * t
         grid = Grid1D(center - 4.0 * sigma, center + 4.0 * sigma, 801)
-        num = propagate(packet, t, grid, law).density()
+        num = propagate(packet, t, grid).density()
         runs.append((t, grid.points(), num))
-        alt = closed_form_density(packet, grid.points(), t, law, mode="model")
+        alt = closed_form_density(packet, grid.points(), t, mode="model")
         worst_model = max(worst_model, float(np.abs(alt - num).max() / num.max()))
-    worst, tol, _ = wavepacket.spreading_deviation(packet, runs, law)
+    worst, tol, _ = wavepacket.spreading_deviation(packet, runs)
     detail = (
         f"max relative deviation {worst:.3e} (tolerance {tol:.0e}); "
         f"alternate closed form deviates up to {worst_model:.3e} of peak "
@@ -331,7 +328,7 @@ def check_gaussian_spreading() -> tuple[bool, str]:
 
 def check_force_consistency() -> tuple[bool, str]:
     """Analytic envelope force matches the differenced potential gradient."""
-    p = ParticleModel.natural()
+    p = ParticleModel()
     b = 1.0
     grid = Grid1D(-0.1, 0.1, 2001)
     x = grid.points()
@@ -368,7 +365,7 @@ def check_equilibrium_condition() -> tuple[bool, str]:
 
 def check_collapse_fraction() -> tuple[bool, str]:
     """Filtering at half the top wavenumber keeps 7/8 of the shell density."""
-    p = ParticleModel.natural()
+    p = ParticleModel()
     filtered = apply_retarding_filter(p, 0.25)
     half_err = abs(filtered.after.k_lo - 0.5 * filtered.before.k_hi)
     frac = collapse_fraction(p, filtered)
@@ -391,7 +388,7 @@ def check_collapse_fraction() -> tuple[bool, str]:
 
 def check_square_well_structure() -> tuple[bool, str]:
     """Member pairing, wall continuity, parity and normalization all hold."""
-    cfg = WellConfig(ParticleModel.natural(), v0=4.0, x0=1.0)
+    cfg = WellConfig(ParticleModel(), v0=4.0, x0=1.0)
     rng = np.random.Generator(np.random.Philox(_CHECK_SEED))
     members = pair_member(cfg, rng.uniform(0.0, cfg.k0, 1000))
     pair_err, pair_tol, _ = member_pairing(cfg, members)

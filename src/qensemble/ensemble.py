@@ -4,14 +4,13 @@ A particle with total energy E_T is represented not by one plane wave but by
 an ensemble of members filling every wavevector the energy budget allows.
 Free members occupy k in [0, k0]; a potential V shifts the bound, and where
 V exceeds E_T the members decay exponentially instead of oscillating.
-Densities are modulus squared throughout.  Natural units (hbar = m = 1) are
-the default; every quantity carries explicit factors of hbar and m so other
-unit systems work unchanged.
+Densities are modulus squared throughout.  Everything is in natural units,
+hbar = 1; the mass m defaults to 1 and stays explicit, since the norm of an
+ensemble scales with it.
 
-Two squared-wavevector conventions appear in the source material, k^2 =
-(m/hbar^2) E and k^2 = (2m/hbar^2) E.  Each operation uses the convention
-its context fixes, and callers can force either through the
-`KineticConvention` argument.
+Two squared-wavevector conventions appear in the source material, k^2 = m E
+and k^2 = 2m E.  Each operation uses the convention its context fixes, and
+callers can force either through the `KineticConvention` argument.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class Regime(Enum):
 
 
 class KineticConvention(Enum):
-    """Coefficient c in k^2 = (c*m/hbar^2) * E."""
+    """Coefficient c in k^2 = c*m*E."""
 
     SINGLE = 1.0
     DOUBLE = 2.0
@@ -57,25 +56,20 @@ class KineticConvention(Enum):
 
 @dataclass(frozen=True)
 class ParticleModel:
-    """Massive particle with a fixed total energy E_T = hbar*omega = m*u^2.
+    """Massive particle with a fixed total energy E_T = omega = m*u^2.
 
     The total energy splits evenly into a kinetic part and an intrinsic
     field part, E_K = E_F = E_T / 2.
     """
 
     mass: float = 1.0
-    hbar: float = 1.0
     total_energy: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("mass", "hbar", "total_energy"):
+        for name in ("mass", "total_energy"):
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")
-
-    @classmethod
-    def natural(cls, total_energy: float = 1.0) -> "ParticleModel":
-        return cls(mass=1.0, hbar=1.0, total_energy=total_energy)
 
 
 @dataclass(frozen=True)
@@ -102,20 +96,17 @@ class KRange:
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Real-valued potential of position with a human-readable description."""
+    """Real-valued potential of position."""
 
     fn: Callable[[ArrayF], ArrayF]
-    description: str = "potential"
 
     @classmethod
-    def constant(cls, value: float, description: str | None = None) -> "PotentialSpec":
+    def constant(cls, value: float) -> "PotentialSpec":
         v = float(value)
-        return cls(fn=lambda x: np.full(np.shape(x), v), description=description or f"V = {v}")
+        return cls(fn=lambda x: np.full(np.shape(x), v))
 
     @classmethod
-    def piecewise_constant(
-        cls, breakpoints, values, description: str | None = None
-    ) -> "PotentialSpec":
+    def piecewise_constant(cls, breakpoints, values) -> "PotentialSpec":
         """Steps: values[i] applies left of breakpoints[i]; values[-1] beyond."""
         bp = np.asarray(breakpoints, dtype=np.float64)
         vals = np.asarray(values, dtype=np.float64)
@@ -127,7 +118,7 @@ class PotentialSpec:
         def step(x):
             return vals[np.searchsorted(bp, np.asarray(x, dtype=np.float64), side="right")]
 
-        return cls(fn=step, description=description or "piecewise-constant potential")
+        return cls(fn=step)
 
     def __call__(self, x) -> ArrayF:
         out = np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
@@ -183,8 +174,8 @@ def allowed_k_range(
     """Wavevector range the energy budget allows at one potential value.
 
     E_T > V gives oscillatory members with k up to
-    sqrt(c*m*(E_T - V))/hbar; E_T < V gives decaying members with decay
-    constants up to sqrt(c*m*(V - E_T))/hbar; E_T = V degenerates to the
+    sqrt(c*m*(E_T - V)); E_T < V gives decaying members with decay
+    constants up to sqrt(c*m*(V - E_T)); E_T = V degenerates to the
     empty oscillatory range [0, 0].
     """
     v = float(potential_value)
@@ -193,18 +184,17 @@ def allowed_k_range(
     c = convention.coefficient
     gap = p.total_energy - v
     if gap > 0.0:
-        k_hi = float(np.sqrt(c * p.mass * gap)) / p.hbar
+        k_hi = float(np.sqrt(c * p.mass * gap))
         return KRange(0.0, k_hi, Regime.OSCILLATORY)
     if gap < 0.0:
-        k_hi = float(np.sqrt(c * p.mass * (-gap))) / p.hbar
+        k_hi = float(np.sqrt(c * p.mass * (-gap)))
         return KRange(0.0, k_hi, Regime.DECAYING)
     return KRange(0.0, 0.0, Regime.OSCILLATORY)
 
 
-def member_amplitude(p: ParticleModel, k_range: KRange | None = None) -> EnsembleAmplitude:
-    """Flat amplitude sqrt(m) over the given range (free range by default)."""
-    rng = k_range if k_range is not None else allowed_k_range(p, 0.0)
-    return EnsembleAmplitude(norm_mass=p.mass, k_range=rng)
+def member_amplitude(p: ParticleModel, k_range: KRange) -> EnsembleAmplitude:
+    """Flat amplitude sqrt(m) over the given range."""
+    return EnsembleAmplitude(norm_mass=p.mass, k_range=k_range)
 
 
 def free_wavefunction(p: ParticleModel, grid: Grid1D, n_k: int = 801) -> ComplexField:
@@ -261,7 +251,7 @@ def potential_wavefunction(
     return ComplexField(grid, out)
 
 
-def parseval_norm(p: ParticleModel, k: float, n_k: int = 2001) -> float:
+def parseval_norm(p: ParticleModel, k: float) -> float:
     """Squared norm of the ensemble by ball quadrature of |chi0|^2.
 
     Returns 4 pi m k^3 / 3 evaluated as an integral, never as the closed
@@ -272,7 +262,7 @@ def parseval_norm(p: ParticleModel, k: float, n_k: int = 2001) -> float:
     if k == 0.0:
         return 0.0
     chi = member_amplitude(p, KRange(0.0, k))
-    q, w, _ = _simpson_rule(0.0, k, n_k)
+    q, w, _ = _simpson_rule(0.0, k, 2001)
     dens = np.abs(chi(q)) ** 2
     return float(4.0 * np.pi * integrate_weighted(dens * q * q, w))
 
@@ -291,15 +281,15 @@ def apply_retarding_filter(
     """Energy-threshold filter acting on a free ensemble.
 
     Members whose kinetic energy falls below the threshold e_rfa cannot
-    pass, so the surviving range is [k1, k0] with k1^2 = (c*m/hbar^2) *
-    e_rfa, clipped at k0.  A threshold above the ensemble energy blocks
+    pass, so the surviving range is [k1, k0] with k1^2 = c*m*e_rfa,
+    clipped at k0.  A threshold above the ensemble energy blocks
     everything and is flagged rather than rejected.
     """
     if not np.isfinite(e_rfa) or e_rfa < 0.0:
         raise ValueError("threshold energy must be finite and nonnegative")
     c = convention.coefficient
-    k0 = float(np.sqrt(c * p.mass * p.total_energy)) / p.hbar
-    k1 = float(np.sqrt(c * p.mass * e_rfa)) / p.hbar
+    k0 = float(np.sqrt(c * p.mass * p.total_energy))
+    k1 = float(np.sqrt(c * p.mass * e_rfa))
     blocked = e_rfa > p.total_energy
     k1 = min(k1, k0)
     before = KRange(0.0, k0, Regime.OSCILLATORY)
@@ -331,7 +321,6 @@ def uncertainty_product(
     amplitude,
     interval,
     n_k: int = 2001,
-    x_halfwidth: float | None = None,
     n_x: int = 4001,
 ) -> float:
     """Position-momentum uncertainty product of a spectral amplitude.
@@ -339,8 +328,7 @@ def uncertainty_product(
     Builds the momentum density |chi(k)|^2 on the interval and the position
     density of psi(x) = (2 pi)^(-1/2) int chi(k) exp(ikx) dk, synthesized
     from the same samples of chi, takes second moments of each, and
-    returns Delta X * Delta P in units of hbar (so a Gaussian spectrum
-    gives 0.5).
+    returns Delta X * Delta P (so a Gaussian spectrum gives 0.5).
 
     Parameters
     ----------
@@ -349,12 +337,10 @@ def uncertainty_product(
     interval : (k_lo, k_hi)
         Spectral support used for the moments and the synthesis.
     n_k, n_x : int
-        Quadrature nodes in k and x.
-    x_halfwidth : float, optional
-        Half width of the position window; defaults to 40 / sigma_k.
-        Spectra with slowly decaying position tails (sharp spectral edges)
-        make Delta X grow with this window, which only strengthens the
-        lower bound.
+        Quadrature nodes in k and x.  The position window is
+        [-40 / sigma_k, 40 / sigma_k]; spectra with slowly decaying
+        position tails (sharp spectral edges) make Delta X grow with it,
+        which only strengthens the lower bound.
     """
     if isinstance(amplitude, SingleMode):
         raise ValueError("single-mode spectra have no finite position spread")
@@ -375,7 +361,7 @@ def uncertainty_product(
         raise ValueError("spectrum second moment vanishes")
     sigma_k = float(np.sqrt(var_k))
 
-    half = x_halfwidth if x_halfwidth is not None else 40.0 / sigma_k
+    half = 40.0 / sigma_k
     x, w_x, _ = _simpson_rule(-half, half, n_x)
     rho_x = np.abs(TWO_PI**-0.5 * _synthesize(w * amp, lo, dk, x)) ** 2
     norm_x = integrate_weighted(rho_x, w_x)

@@ -1,11 +1,11 @@
 """Grids, quadrature and wavevector superposition kernels.
 
-All routines work in natural units (hbar = m = 1 unless the caller says
-otherwise) and use the symmetric Fourier convention: a factor (2*pi)**(-d/2)
-on the synthesis integral in d dimensions.  Quadrature is composite Simpson
-on uniform grids; internally constructed grids always carry an odd number of
-nodes so the rule applies cleanly, and sampled inputs with an even node
-count are closed with a one-interval cubic end correction.
+All routines work in natural units (hbar = 1) and use the symmetric Fourier
+convention: a factor (2*pi)**(-d/2) on the synthesis integral in d
+dimensions.  Quadrature is composite Simpson on uniform grids; internally
+constructed grids always carry an odd number of nodes so the rule applies
+cleanly, and sampled inputs with an even node count are closed with a
+one-interval cubic end correction.
 """
 
 from __future__ import annotations

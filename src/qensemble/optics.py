@@ -134,14 +134,15 @@ def split_beam(beam: PolarizedBeam) -> tuple[PolarizedBeam, PolarizedBeam]:
     return half, half
 
 
-def diagonal_polarizer(beam: PolarizedBeam, axis=None) -> PolarizedBeam:
-    """Project a beam onto a linear polarizer axis (diagonal by default).
+def diagonal_polarizer(beam: PolarizedBeam) -> PolarizedBeam:
+    """Project a beam onto the diagonal polarizer axis (x + y) / sqrt(2).
 
     The electric amplitude is projected onto the axis and the magnetic
     amplitude onto k x axis, which keeps the transmitted beam a valid
-    transverse wave.  Lossy in general.
+    transverse wave; a beam with a component along the axis is refused.
+    Lossy in general.
     """
-    d = np.asarray(axis, dtype=np.float64) if axis is not None else (X_HAT + Y_HAT)
+    d = X_HAT + Y_HAT
     d = d / np.linalg.norm(d)
     if abs(float(np.dot(d, beam.k_dir))) > _ORTHO_TOL:
         raise ValueError("polarizer axis must be transverse to the beam")

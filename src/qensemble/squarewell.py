@@ -3,9 +3,9 @@
 A particle bound in a well of depth V0 and half width x0 is an ensemble of
 piecewise members: each member oscillates inside the well with wavenumber
 k1 and decays outside with constant k2, the two tied by the energy budget
-k1^2 + k2^2 = (m/hbar^2) V0.  The ensemble density integrates member
-densities over k1 in [0, k0] inside the well and over k2 in [0, k0']
-outside, with k0 and k0' the oscillatory and decaying bounds.
+k1^2 + k2^2 = m V0 (natural units, hbar = 1).  The ensemble density
+integrates member densities over k1 in [0, k0] inside the well and over k2
+in [0, k0'] outside, with k0 and k0' the oscillatory and decaying bounds.
 
 Members with cos(k1 x0) = 0 put all their weight inside the well; the
 member formula divides by that cosine, so a small neighbourhood of each
@@ -53,20 +53,20 @@ class WellConfig:
 
     @property
     def pair_constant(self) -> float:
-        """k1^2 + k2^2 budget, (m/hbar^2) v0."""
-        return self.particle.mass * self.v0 / self.particle.hbar**2
+        """k1^2 + k2^2 budget, m v0."""
+        return self.particle.mass * self.v0
 
     @property
     def k0(self) -> float:
-        """Interior oscillatory bound sqrt(m E_T)/hbar."""
+        """Interior oscillatory bound sqrt(m E_T)."""
         p = self.particle
-        return float(np.sqrt(p.mass * p.total_energy)) / p.hbar
+        return float(np.sqrt(p.mass * p.total_energy))
 
     @property
     def k0_prime(self) -> float:
-        """Exterior decay bound sqrt(m (v0 - E_T))/hbar."""
+        """Exterior decay bound sqrt(m (v0 - E_T))."""
         p = self.particle
-        return float(np.sqrt(p.mass * (self.v0 - p.total_energy))) / p.hbar
+        return float(np.sqrt(p.mass * (self.v0 - p.total_energy)))
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,10 @@ def resonant_members(cfg: WellConfig, k1, resonance_tol: float):
 def pair_member(cfg: WellConfig, k1, resonance_tol: float = 1e-6) -> WellMember:
     """Build the members with interior wavenumbers k1, a scalar or an array.
 
-    The decay constants follow from the pairing k1^2 + k2^2 =
-    (m/hbar^2) v0.  Every k1 must lie in [0, k0], and one with
-    |cos(k1 x0)| below resonance_tol raises ResonantMemberError.  A scalar
-    k1 gives float fields, an array gives arrays of its shape.
+    The decay constants follow from the pairing k1^2 + k2^2 = m v0.  Every
+    k1 must lie in [0, k0], and one with |cos(k1 x0)| below resonance_tol
+    raises ResonantMemberError.  A scalar k1 gives float fields, an array
+    gives arrays of its shape.
     """
     k1 = np.asarray(k1, dtype=np.float64)
     if not np.all(np.isfinite(k1) & (k1 >= 0.0) & (k1 <= cfg.k0)):
@@ -164,9 +164,9 @@ def bound_state_residual(cfg: WellConfig, k1: float) -> float:
     return k2 - k1 * float(np.tan(k1 * cfg.x0))
 
 
-def is_bound_state_member(cfg: WellConfig, k1: float, tol: float = 1e-9) -> bool:
-    """Diagnostic predicate for the even bound-state condition."""
-    return abs(bound_state_residual(cfg, k1)) <= tol
+def is_bound_state_member(cfg: WellConfig, k1: float) -> bool:
+    """Diagnostic predicate for the even bound-state condition, to 1e-9."""
+    return abs(bound_state_residual(cfg, k1)) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -181,17 +181,16 @@ class NormalizationAudit:
         return self.integral / self.expected
 
 
-def normalization_audit(
-    member: WellMember, cfg: WellConfig, n: int = 40001, tail_lengths: float = 40.0
-) -> NormalizationAudit:
+def normalization_audit(member: WellMember, cfg: WellConfig) -> NormalizationAudit:
     """Integrate |member|^2 over the line and compare with the mass.
 
-    The squared norm only equals m on members satisfying the bound-state
-    condition k2 = k1 tan(k1 x0); elsewhere the audit reports the actual
-    ratio instead of asserting it.
+    The line is cut 40 decay lengths past each wall and sampled at 40001
+    Simpson nodes.  The squared norm only equals m on members satisfying
+    the bound-state condition k2 = k1 tan(k1 x0); elsewhere the audit
+    reports the actual ratio instead of asserting it.
     """
-    half = cfg.x0 + tail_lengths / member.k2
-    x, w, _ = _simpson_rule(-half, half, n)
+    half = cfg.x0 + 40.0 / member.k2
+    x, w, _ = _simpson_rule(-half, half, 40001)
     vals = member_wavefunction(member, cfg, x)
     integral = integrate_weighted(vals * vals, w)
     return NormalizationAudit(integral=float(integral), expected=cfg.particle.mass)

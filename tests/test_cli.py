@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from qensemble.cli import (
 from qensemble.optics import formalism_agreement, visibility
 from qensemble.acceptance import run_checks
 from qensemble.squarewell import pair_member, well_ensemble_density
+
+import make_identity_manifest as identity
 
 CHEAP_ARGS = {
     "ensemble": ["--set", "n_r=41", "--set", "r_max=4.0"],
@@ -174,6 +177,7 @@ class TestValidationPaths:
             (["eraser", "--set", "n_phases=1"], "n_phases must be at least 2"),
             (["bomb", "--set", f"n_trials={2**63}"], "n_trials must be at most 2**63 - 1"),
             (["bomb", "--set", f"n_trials={10**30}"], "n_trials must be at most 2**63 - 1"),
+            (["bomb", "--seed", "-1"], "--seed must be at least 0, got -1"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -362,6 +366,20 @@ class TestProcessReuse:
 
 
 class TestDeterminism:
+    def test_outputs_match_the_identity_manifest(self):
+        manifest = json.loads(Path(__file__).with_name("identity_manifest.json").read_text(encoding="utf-8"))
+        here = identity.environment()
+        recorded = {key: manifest[key] for key in here}
+        if here != recorded:
+            pytest.skip(
+                f"identity manifest recorded with numpy {recorded['numpy']} on {recorded['machine']}, "
+                f"this run has numpy {here['numpy']} on {here['machine']}"
+            )
+        entries = manifest["entries"]
+        assert [" ".join(argv) for argv in identity.CASES] == list(entries)
+        moved = {key: entry for key, entry in identity.sweep().items() if entry != entries[key]}
+        assert not moved, f"outputs moved from the recorded digests: {sorted(moved)}"
+
     def test_bomb_csv_is_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

@@ -28,9 +28,9 @@ from qensemble.numerics import Grid1D, SingleMode, _simpson_rule
 
 
 class TestParticleModel:
-    @pytest.mark.parametrize("field", ["mass", "hbar", "total_energy"])
+    @pytest.mark.parametrize("field", ["mass", "total_energy"])
     def test_rejects_nonpositive(self, field):
-        kwargs = {"mass": 1.0, "hbar": 1.0, "total_energy": 1.0, field: 0.0}
+        kwargs = {"mass": 1.0, "total_energy": 1.0, field: 0.0}
         with pytest.raises(ValueError):
             ParticleModel(**kwargs)
 
@@ -41,29 +41,29 @@ class TestAllowedKRange:
         [(-3.0, 2.0), (0.0, 1.0), (0.5, math.sqrt(0.5))],
     )
     def test_oscillatory_endpoints(self, v, expected):
-        kr = allowed_k_range(ParticleModel.natural(), v)
+        kr = allowed_k_range(ParticleModel(), v)
         assert kr.regime is Regime.OSCILLATORY
         assert kr.k_lo == 0.0
         assert abs(kr.k_hi - expected) <= 1e-15
 
     def test_decaying_above_budget(self):
-        kr = allowed_k_range(ParticleModel.natural(), 3.0)
+        kr = allowed_k_range(ParticleModel(), 3.0)
         assert kr.regime is Regime.DECAYING
         assert abs(kr.k_hi - math.sqrt(2.0)) <= 1e-15
 
     def test_degenerate_at_equality(self):
-        kr = allowed_k_range(ParticleModel.natural(), 1.0)
+        kr = allowed_k_range(ParticleModel(), 1.0)
         assert kr.is_empty and kr.regime is Regime.OSCILLATORY
 
     def test_double_convention_scales_endpoint(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         single = allowed_k_range(p, 0.0, KineticConvention.SINGLE)
         double = allowed_k_range(p, 0.0, KineticConvention.DOUBLE)
         assert_allclose(double.k_hi, math.sqrt(2.0) * single.k_hi, rtol=1e-15)
 
     def test_rejects_nonfinite_potential(self):
         with pytest.raises(ValueError):
-            allowed_k_range(ParticleModel.natural(), float("inf"))
+            allowed_k_range(ParticleModel(), float("inf"))
 
 
 class TestKRange:
@@ -80,14 +80,15 @@ class TestKRange:
 class TestAmplitude:
     def test_indicator_with_tolerant_edges(self):
         # mass 4 puts the free bound at k = 2 and the flat value at 2
-        amp = member_amplitude(ParticleModel(mass=4.0))
+        p = ParticleModel(mass=4.0)
+        amp = member_amplitude(p, allowed_k_range(p, 0.0))
         k = np.array([-0.1, 0.0, 1.0, 2.0, 2.1])
         vals = amp(k)
         assert_allclose(vals.real, [0.0, 2.0, 2.0, 2.0, 0.0])
         assert amp.flat_value == 2.0
 
     def test_custom_range(self):
-        amp = member_amplitude(ParticleModel.natural(), KRange(0.5, 1.0))
+        amp = member_amplitude(ParticleModel(), KRange(0.5, 1.0))
         assert amp(np.array([0.4]))[0] == 0.0
         assert amp(np.array([0.75]))[0] == 1.0
 
@@ -106,14 +107,14 @@ class TestPotentialSpec:
         assert_allclose(spec(np.array([-2.0, 0.0, 2.0])), [0.0, -4.0, 0.0])
 
     def test_rejects_nonfinite_values(self):
-        spec = PotentialSpec(lambda x: np.full_like(x, np.nan), "broken")
+        spec = PotentialSpec(lambda x: np.full_like(x, np.nan))
         with pytest.raises(ValueError):
             spec(np.array([0.0]))
 
 
 class TestWavefunctions:
     def test_zero_potential_reduces_to_free(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         grid = Grid1D(0.0, 6.0, 121)
         free = free_wavefunction(p, grid)
         gated = potential_wavefunction(p, PotentialSpec.constant(0.0), grid)
@@ -121,7 +122,7 @@ class TestWavefunctions:
 
     @pytest.mark.parametrize("r", [0.5, 2.0])
     def test_free_profile_against_quad(self, r):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         grid = Grid1D(r, r + 1.0, 2)
         psi = free_wavefunction(p, grid, n_k=2001).values[0]
         ref, _ = sci.quad(lambda k: k * k * np.sin(k * r) / (k * r), 0.0, 1.0)
@@ -130,14 +131,14 @@ class TestWavefunctions:
         assert abs(psi.imag) <= 1e-15
 
     def test_attractive_region_grows_amplitude(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         grid = Grid1D(0.0, 1.0, 2)
         deep = potential_wavefunction(p, PotentialSpec.constant(-3.0), grid)
         free = potential_wavefunction(p, PotentialSpec.constant(0.0), grid)
         assert abs(deep.values[0]) > abs(free.values[0])
 
     def test_barrier_region_decays(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         grid = Grid1D(0.1, 4.0, 40)
         psi = potential_wavefunction(p, PotentialSpec.constant(3.0), grid)
         assert np.all(psi.values.real > 0.0)
@@ -148,7 +149,7 @@ class TestWavefunctions:
         # V = 0 holds on two disjoint runs around a barrier and a well, so
         # each run is synthesized on its own; compare every node against a
         # per-node dense sum
-        p = ParticleModel.natural()
+        p = ParticleModel()
         pot = PotentialSpec.piecewise_constant([1.0, 2.5, 4.0], [0.0, 3.0, 0.0, -2.0])
         grid = Grid1D(0.0, 6.0, 61)
         psi = potential_wavefunction(p, pot, grid, n_k=401)
@@ -165,7 +166,7 @@ class TestWavefunctions:
         assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_density_is_squared_modulus(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         grid = Grid1D(0.0, 2.0, 9)
         psi = free_wavefunction(p, grid)
         assert_allclose(psi.density(), np.abs(psi.values) ** 2, rtol=0.0, atol=0.0)
@@ -185,35 +186,35 @@ class TestParsevalNorm:
 
 class TestRetardingFilter:
     def test_zero_threshold_is_identity(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         out = apply_retarding_filter(p, 0.0)
         assert out.after.k_lo == out.before.k_lo
         assert out.after.k_hi == out.before.k_hi
         assert not out.fully_blocked
 
     def test_quarter_energy_cuts_half_range(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         out = apply_retarding_filter(p, 0.25)
         assert_allclose(out.after.k_lo, 0.5 * out.before.k_hi, rtol=0.0, atol=1e-15)
 
     def test_threshold_above_budget_blocks(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         out = apply_retarding_filter(p, 1.5)
         assert out.fully_blocked and out.after.is_empty
 
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
-            apply_retarding_filter(ParticleModel.natural(), -0.1)
+            apply_retarding_filter(ParticleModel(), -0.1)
 
     def test_surviving_fraction_seven_eighths(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         out = apply_retarding_filter(p, 0.25)
         assert abs(collapse_fraction(p, out) - 7.0 / 8.0) <= 1e-12
 
     def test_fraction_monotone_in_threshold(self):
         # dyadic thresholds keep the surviving band either genuinely wide
         # or exactly empty at the top
-        p = ParticleModel.natural()
+        p = ParticleModel()
         thresholds = list(np.linspace(0.0, 1.0, 9)) + [1.5]
         fractions = [
             collapse_fraction(p, apply_retarding_filter(p, e)) for e in thresholds
@@ -223,7 +224,7 @@ class TestRetardingFilter:
         assert fractions[-2] == 0.0  # threshold equal to the budget empties the band
 
     def test_after_range_nested_in_before(self):
-        p = ParticleModel.natural()
+        p = ParticleModel()
         rng = np.random.Generator(np.random.Philox(99))
         for e_rfa in rng.uniform(0.0, 2.0, 50):
             out = apply_retarding_filter(p, float(e_rfa))

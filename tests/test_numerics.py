@@ -142,7 +142,7 @@ class TestRuleWeights:
         assert taken
 
 
-_WELL = squarewell.WellConfig(ensemble.ParticleModel.natural(total_energy=1.5), v0=4.0, x0=1.0)
+_WELL = squarewell.WellConfig(ensemble.ParticleModel(total_energy=1.5), v0=4.0, x0=1.0)
 
 
 class TestIntegrateBall:

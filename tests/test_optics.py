@@ -127,8 +127,10 @@ class TestElements:
         assert_allclose(em_intensity(out), 0.5, rtol=1e-15)
 
     def test_polarizer_rejects_axis_along_beam(self):
-        with pytest.raises(ValueError):
-            diagonal_polarizer(horizontal_beam(), axis=Z_HAT)
+        # the diagonal axis (x + y) / sqrt(2) is not transverse to a beam travelling along x
+        beam = PolarizedBeam(e_amp=1.0, b_amp=1.0, e_dir=Y_HAT, b_dir=Z_HAT, k_dir=X_HAT)
+        with pytest.raises(ValueError, match="polarizer axis must be transverse to the beam"):
+            diagonal_polarizer(beam)
 
 
 class TestEraser:

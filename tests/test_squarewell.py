@@ -24,7 +24,7 @@ from qensemble.squarewell import (
 
 
 def default_config(e_total=1.0, v0=4.0, x0=1.0):
-    return WellConfig(ParticleModel.natural(total_energy=e_total), v0=v0, x0=x0)
+    return WellConfig(ParticleModel(total_energy=e_total), v0=v0, x0=x0)
 
 
 class TestWellConfig:
@@ -44,7 +44,7 @@ class TestWellConfig:
     )
     def test_rejects_bad_geometry(self, kwargs):
         with pytest.raises(ValueError):
-            WellConfig(ParticleModel.natural(), **kwargs)
+            WellConfig(ParticleModel(), **kwargs)
 
 
 class TestPairMember:
@@ -256,7 +256,7 @@ class TestEnsembleDensity:
     def test_deep_well_stays_finite(self):
         # raw member amplitudes carry exp(k2 x0) and overflow near k2 = 2000;
         # the density path folds that factor away before exponentiating
-        cfg = WellConfig(ParticleModel.natural(), v0=4.0e6, x0=1.0)
+        cfg = WellConfig(ParticleModel(), v0=4.0e6, x0=1.0)
         grid = Grid1D(-4.0, 4.0, 201)
         profile = well_ensemble_density(cfg, grid)
         assert np.all(np.isfinite(profile.values))

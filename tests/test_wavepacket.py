@@ -11,13 +11,12 @@ import qensemble.wavepacket as wavepacket
 from qensemble.ensemble import ParticleModel
 from qensemble.numerics import Grid1D, SingleMode
 from qensemble.wavepacket import (
-    DispersionLaw,
     GaussianPacket,
-    GaussianSpectrum,
     closed_form_density,
     equilibrium_check,
     intrinsic_force,
     intrinsic_potential,
+    omega,
     propagate,
     quantum_potential,
     spectral_window,
@@ -28,15 +27,8 @@ from qensemble.wavepacket import (
 
 class TestDispersionLaw:
     def test_quadratic_law(self):
-        law = DispersionLaw()
-        assert law.omega(2.0) == 2.0
-        assert law.group_velocity(2.0) == 2.0
-        assert_allclose(law.omega(np.array([1.0, 3.0])), [0.5, 4.5], rtol=0.0)
-
-    @pytest.mark.parametrize("kwargs", [{"mass": 0.0}, {"hbar": -1.0}])
-    def test_rejects_nonpositive_constants(self, kwargs):
-        with pytest.raises(ValueError):
-            DispersionLaw(**kwargs)
+        assert omega(2.0) == 2.0
+        assert_allclose(omega(np.array([1.0, 3.0])), [0.5, 4.5], rtol=0.0)
 
 
 class TestGaussianPacket:
@@ -62,7 +54,7 @@ class TestSpectra:
     def test_spectrum_is_finite_at_the_window_limits(self, b):
         packet = GaussianPacket(b=b, k0=0.0)
         with np.errstate(all="raise"):
-            assert np.isfinite(GaussianSpectrum(b=b, k0=0.0)(np.array(spectral_window(packet)))).all()
+            assert np.isfinite(packet.spectrum(np.array(spectral_window(packet)))).all()
 
     def test_truncation_bound_is_tiny_and_scales(self):
         tb1 = truncation_bound(GaussianPacket(b=1.0, k0=0.0))
@@ -71,7 +63,7 @@ class TestSpectra:
         assert truncation_bound(GaussianPacket(b=0.5, k0=0.0)) == 2.0 * tb1
 
     def test_spectrum_shape(self):
-        spec = GaussianSpectrum(b=2.0, k0=3.0)
+        spec = GaussianPacket(b=2.0, k0=3.0).spectrum
         assert spec(3.0) == 1.0
         assert spec(3.0 + 0.7) == spec(3.0 - 0.7)
         assert_allclose(spec(3.5), math.exp(-0.5), rtol=1e-15)
@@ -81,10 +73,9 @@ class TestPropagation:
     @pytest.mark.parametrize("t", [0.0, 1.5, -3.0])
     def test_single_mode_keeps_unit_density(self, t):
         grid = Grid1D(-10.0, 10.0, 401)
-        law = DispersionLaw()
-        field = propagate(SingleMode(k0=2.0), t, grid, law)
+        field = propagate(SingleMode(k0=2.0), t, grid)
         assert np.abs(field.density() - 1.0).max() <= 1e-14
-        phase = 2.0 * grid.points() - float(law.omega(2.0)) * t
+        phase = 2.0 * grid.points() - float(omega(2.0)) * t
         assert_allclose(field.values, np.exp(1j * phase), rtol=0.0, atol=0.0)
 
     def test_gaussian_matches_closed_form_at_rest(self):
@@ -104,12 +95,11 @@ class TestPropagation:
 
     def test_spreading_tracks_dispersion_form(self):
         packet = GaussianPacket(b=1.0, k0=5.0)
-        law = DispersionLaw()
         t = 1.0
         sigma = packet.b * math.sqrt((1.0 + t * t) / 2.0)
         grid = Grid1D(5.0 * t - 4.0 * sigma, 5.0 * t + 4.0 * sigma, 801)
-        num = propagate(packet, t, grid, law).density()
-        ref = closed_form_density(packet, grid.points(), t, law, mode="textbook")
+        num = propagate(packet, t, grid).density()
+        ref = closed_form_density(packet, grid.points(), t, mode="textbook")
         assert np.abs((num - ref) / ref).max() <= 1e-4
 
     def test_single_spectral_node_is_rejected(self):
@@ -118,12 +108,11 @@ class TestPropagation:
 
     def test_automatic_node_count_is_bounded(self):
         grid = Grid1D(-10.0, 25.0, 1201)
-        law = DispersionLaw()
         # the default spread grid's largest count for k0 <= 10, t <= 5
-        assert wavepacket._auto_nodes(GaussianPacket(b=1.0, k0=10.0), 5.0, grid, law) == 9371
+        assert wavepacket._auto_nodes(GaussianPacket(b=1.0, k0=10.0), 5.0, grid) == 9371
         # 1.6e12 nodes (about 13 TB) are refused before anything is allocated
         with pytest.raises(ValueError, match="k0 = 1e\\+10.*lower k0 or times"):
-            wavepacket._auto_nodes(GaussianPacket(b=1.0, k0=1e10), 2.0, grid, law)
+            wavepacket._auto_nodes(GaussianPacket(b=1.0, k0=1e10), 2.0, grid)
 
 
 class TestClosedForms:
@@ -223,29 +212,28 @@ class TestSpreadingOracle:
 
 class TestIntrinsicField:
     @pytest.mark.parametrize(
-        "amp, mass, hbar, k, expected",
+        "amp, mass, k, expected",
         [
-            (1.0, 1.0, 1.0, 2.0, 4.0),
-            (2.0j, 1.0, 1.0, 2.0, 16.0),
-            (1.0, 2.0, 1.0, 2.0, 1.0),
-            (0.5, 1.0, 3.0, 1.0, 2.25),
+            (1.0, 1.0, 2.0, 4.0),
+            (2.0j, 1.0, 2.0, 16.0),
+            (1.0, 2.0, 2.0, 1.0),
         ],
     )
-    def test_potential_prefactor(self, amp, mass, hbar, k, expected):
-        p = ParticleModel(mass=mass, hbar=hbar, total_energy=1.0)
+    def test_potential_prefactor(self, amp, mass, k, expected):
+        p = ParticleModel(mass=mass, total_energy=1.0)
         assert_allclose(intrinsic_potential(np.array([amp]), p, k), [expected], rtol=1e-15)
 
     def test_force_on_gaussian_envelope(self):
         x = np.linspace(-3.0, 3.0, 6001)
         psi = np.exp(-(x**2) / 2.0)
-        force = intrinsic_force(psi, ParticleModel.natural(), 1.0, x[1] - x[0])
+        force = intrinsic_force(psi, ParticleModel(), 1.0, x[1] - x[0])
         expected = 2.0 * x * np.exp(-(x**2))
         assert_allclose(force[1:-1], expected[1:-1], rtol=0.0, atol=1e-5)
         assert abs(force[4000] - 2.0 * math.exp(-1.0)) <= 1e-5
 
     def test_force_rejects_bad_spacing(self):
         with pytest.raises(ValueError):
-            intrinsic_force(np.ones(5), ParticleModel.natural(), 1.0, 0.0)
+            intrinsic_force(np.ones(5), ParticleModel(), 1.0, 0.0)
 
 
 class TestEquilibrium:
