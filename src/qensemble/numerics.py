@@ -145,15 +145,62 @@ def _simpson_rule(lo: float, hi: float, n: int) -> tuple[ArrayF, ArrayF, float]:
     return nodes, _simpson_weights(nodes.size, h), h
 
 
+def _cis(theta) -> ArrayC:
+    """exp(i theta) for real theta, with cos and sin written into one complex array."""
+    theta = np.asarray(theta, dtype=np.float64)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _linear_phase(c: float, n: int) -> ArrayC:
+    """exp(i c j) for j = 0 .. n-1 from about 2 sqrt(n) phasors.
+
+    j = b p + s with b = ceil(sqrt(n)): the outer product of a coarse table
+    exp(i c b p) and a fine table exp(i c s).  Each factor's phase is one
+    rounded product, so every entry is within a few ulp of |c n| of the
+    direct exp(i c j).
+    """
+    b = math.isqrt(n - 1) + 1
+    n_p = -(-n // b)
+    coarse = _cis(c * (b * np.arange(n_p)))
+    fine = _cis(c * np.arange(b))
+    return (coarse[:, None] * fine).ravel()[:n]
+
+
+def _smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, never above the next power of two.
+
+    Each odd part 3^b 5^c below the best length so far is lifted by the
+    least power of two that reaches n: a few dozen integer steps, no table.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            candidate = p35 << ((n - 1) // p35).bit_length()
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
     """Sum_m wts[m] exp(i x_j (k_lo + m dk)) at every node x_j of a uniform x.
 
     Bluestein's chirp-z algorithm: with x_j = x0 + j dx and alpha = dx dk,
     the cross term exp(i alpha j m) splits into chirps in j and m around
     the convolution with exp(-i alpha (j - m)^2 / 2), done by FFT at the
-    next power of two >= n_x + n_k - 1.  The cost is
+    smallest 2^a 3^b 5^c >= n_x + n_k - 1.  The cost is
     O((n_x + n_k) log(n_x + n_k)) instead of a dense n_x * n_k phase
-    matrix; phases are built from exact integer index squares.
+    matrix.  One table lag_chirp[l] = exp(-i alpha l^2 / 2), built from
+    exact integer squares, serves the convolution and, conjugated, both
+    outer chirps; the linear phases exp(i x0 dk m) and exp(i dx k_lo j)
+    come from sqrt-sized tables (_linear_phase) and the constant
+    exp(i x0 k_lo).
 
     x0 and dx come from the ends of x, which must be uniform to 1e-12
     relative (a scalar or one node counts as uniform); a non-uniform x
@@ -164,22 +211,21 @@ def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
     n_x, n_k = x_arr.size, w.size
     x0 = x_arr[0]
     dx = (x_arr[-1] - x0) / (n_x - 1) if n_x > 1 else 0.0
-    j = np.arange(n_x)
-    if np.abs(x_arr - (x0 + j * dx)).max() > 1e-12 * np.abs(x_arr).max():
+    if np.abs(x_arr - (x0 + np.arange(n_x) * dx)).max() > 1e-12 * np.abs(x_arr).max():
         raise ValueError("chirp-z synthesis needs uniformly spaced x")
     half_alpha = 0.5 * dx * dk
-    m = np.arange(n_k)
     # the lag chirp is even in the lag: computed for lags >= 0, mirrored for the rest
     lag = np.arange(max(n_x, n_k))
-    lag_chirp = np.exp(-1j * half_alpha * (lag * lag))
-    size = 1 << (n_x + n_k - 2).bit_length()
-    pre = w * np.exp(1j * (x0 * dk * m + half_alpha * (m * m)))
+    lag_chirp = _cis(-half_alpha * (lag * lag))
+    size = _smooth_length(n_x + n_k - 1)
+    pre = w * np.conj(lag_chirp[:n_k]) * _linear_phase(x0 * dk, n_k)
     # circular layout: lags 0..n_x-1 at the front, lags -(n_k-1)..-1 at the back
     chirp = np.zeros(size, dtype=np.complex128)
     chirp[:n_x] = lag_chirp[:n_x]
     chirp[size - n_k + 1 :] = lag_chirp[n_k - 1 : 0 : -1]
     conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp))[:n_x]
-    return np.exp(1j * (x_arr * k_lo + half_alpha * (j * j))) * conv
+    post = _cis(x0 * k_lo) * _linear_phase(dx * k_lo, n_x)
+    return post * np.conj(lag_chirp[:n_x]) * conv
 
 
 def _decay_sum(wts, dk: float, d) -> NDArray:

@@ -102,7 +102,13 @@ def _paired_wavenumber(cfg: WellConfig, k):
 
 
 def resonant_members(cfg: WellConfig, k1, resonance_tol: float):
-    """Mask of the interior wavenumbers with |cos(k1 x0)| below resonance_tol."""
+    """Mask of the interior wavenumbers with |cos(k1 x0)| below resonance_tol.
+
+    A negative or NaN resonance_tol would exclude nothing without saying
+    so, and raises ValueError instead.
+    """
+    if not resonance_tol >= 0.0:
+        raise ValueError(f"resonance_tol must be nonnegative, got {resonance_tol:g}")
     return np.abs(np.cos(k1 * cfg.x0)) < resonance_tol
 
 

@@ -27,6 +27,7 @@ from .numerics import (
     Grid1D,
     SingleMode,
     _as_odd,
+    _cis,
     _simpson_rule,
     _synthesize,
 )
@@ -126,12 +127,12 @@ def propagate(
             raise ValueError(
                 f"single-mode phase k0 x - omega(k0) t overflows for k0 = {packet.k0:g}, t = {t:g}"
             )
-        return ComplexField(grid, np.exp(1j * phase))
+        return ComplexField(grid, _cis(phase))
     lo, hi = spectral_window(packet)
     n = n_k if n_k is not None else _auto_nodes(packet, t, grid)
     k, w, dk = _simpson_rule(lo, hi, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        turn = np.exp(-1j * omega(k) * t)
+        turn = _cis(-omega(k) * t)
     if not np.isfinite(turn).all():
         raise ValueError(f"phase omega(k) t overflows for k0 = {packet.k0:g}, b = {packet.b:g}, t = {t:g}")
     return ComplexField(grid, (2.0 * np.pi) ** -0.5 * _synthesize(w * packet.spectrum(k) * turn, lo, dk, x))

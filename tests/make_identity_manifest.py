@@ -36,6 +36,40 @@ def _scenario(name, *overrides, flags=()):
     return [name, *flags, *(arg for item in overrides for arg in ("--set", item))]
 
 
+# The first operation of perfbench's dense-figures and light-tables workloads
+# at seed 7, written out: a change to perfbench's draws leaves the manifest as it is.
+_CSV = ("--format", "csv")
+_DENSE_FIGURES = [
+    _scenario(
+        "spread", "packet=gaussian", "b=1.0", "k0=5.250190933209334", "times=0.0,1.5",
+        "x_min=-10.0", "x_max=25.0", "n_x=1201", "n_k=4001", flags=_CSV,
+    ),
+    _scenario(
+        "ensemble", "potentials=-3.0,0.0,0.5,2.5", "e_total=1.5177710407756604", "r_min=0.0",
+        "r_max=8.0", "n_r=801", "n_k=801", "convention=single", flags=_CSV,
+    ),
+    _scenario(
+        "collapse", "e_rfa=0.7404337427766831", "e_total=1.5177710407756604", "r_min=0.0",
+        "r_max=6.0", "n_r=601", "n_k=2001", "convention=double", flags=_CSV,
+    ),
+    _scenario(
+        "well", "v0=3.6756215699717756", "x0=1.0", "e_total=1.5177710407756604", "x_min=-8.0",
+        "x_max=8.0", "n_x=8001", "n_k=2001", "resonance_tol=1e-06", flags=_CSV,
+    ),
+]
+_LIGHT_TABLES = [
+    _scenario("eraser", "n_phases=256", "e_amp=1.6552114265052111", "b_amp=0.6678908664765264", "c=1.0", flags=_CSV),
+    _scenario(
+        "bomb", "bomb_present=true", "reflectivity=0.4", "efficiency=0.02", "n_trials=3000000",
+        flags=(*_CSV, "--seed", "12345"),
+    ),
+    _scenario(
+        "spread", "packet=single_mode", "k0=2.4395973540314513", "times=0.0,1.0,2.0,4.0",
+        "x_min=-200.0", "x_max=200.0", "n_x=40001", flags=("--format", "json"),
+    ),
+]
+
+
 CASES = [
     *(
         _scenario(name, flags=("--format", fmt))
@@ -49,6 +83,8 @@ CASES = [
     _scenario("bomb", "n_trials=20000", flags=("--seed", "2817")),
     _scenario("spread", "times=0,1e300"),
     _scenario("well", "v0=4e6"),
+    *_DENSE_FIGURES,
+    *_LIGHT_TABLES,
     ["selftest"],
 ]
 

@@ -178,6 +178,7 @@ class TestValidationPaths:
             (["bomb", "--set", f"n_trials={2**63}"], "n_trials must be at most 2**63 - 1"),
             (["bomb", "--set", f"n_trials={10**30}"], "n_trials must be at most 2**63 - 1"),
             (["bomb", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["well", "--set", "resonance_tol=-1"], "resonance_tol must be nonnegative, got -1"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):

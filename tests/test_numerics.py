@@ -1,7 +1,9 @@
 """Quadrature and superposition primitives against independent references."""
 
 import math
+from bisect import bisect_left
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,8 +15,11 @@ from qensemble.numerics import (
     ComplexField,
     Grid1D,
     KBall,
+    _cis,
     _decay_sum,
+    _linear_phase,
     _simpson_rule,
+    _smooth_length,
     _synthesize,
     integrate_ball,
     integrate_real,
@@ -395,13 +400,15 @@ class TestSynthesize:
 
     @staticmethod
     def dense(w, k, x):
-        return np.exp(1j * np.outer(x, k)) @ w
+        # blocks of rows keep the phase matrix small at the largest shapes
+        blocks = np.array_split(x, -(-x.size // 256))
+        return np.concatenate([np.exp(1j * np.outer(rows, k)) @ w for rows in blocks])
 
     @staticmethod
     def via_czt(w, k, x):
         # czt sums w_m z_j^(-m) on z_j = a w^(-j); z_j = exp(-i x_j dk) leaves
         # the factor exp(i x_j k_lo) outside
-        dk = k[1] - k[0]
+        dk = k[1] - k[0] if k.size > 1 else 0.1
         dx = x[1] - x[0] if x.size > 1 else 0.0
         pre = czt(w, m=x.size, w=np.exp(1j * dx * dk), a=np.exp(-1j * x[0] * dk))
         return np.exp(1j * x * k[0]) * pre
@@ -410,15 +417,18 @@ class TestSynthesize:
         "n_x,x_lo,x_hi,n_k,k_lo,k_hi",
         [
             (1, 0.7, 0.7, 5, -1.0, 2.0),
+            (9, -2.0, 3.0, 1, 0.4, 0.4),
             (2, -1.0, 1.0, 3, 0.0, 1.0),
+            (401, 0.0, 8.0, 2001, 0.0, 3.0),
             (37, -9.0, -3.5, 23, -2.0, 5.0),
             (3001, -60.0, 60.0, 1601, -20.0, 20.0),
+            (4001, -30.0, 50.0, 6191, -3.0, 13.0),
             (1201, -10.0, 25.0, 4001, -3.0, 13.0),
         ],
     )
     def test_matches_dense_and_czt(self, n_x, x_lo, x_hi, n_k, k_lo, k_hi):
         x, k, w = self.case(n_x, x_lo, x_hi, n_k, k_lo, k_hi)
-        out = _synthesize(w, k_lo, k[1] - k[0], x)
+        out = _synthesize(w, k_lo, k[1] - k[0] if n_k > 1 else 0.1, x)
         tol = 1e-10 * np.abs(w).sum()
         assert out.shape == (n_x,)
         assert np.abs(out - self.dense(w, k, x)).max() <= tol
@@ -446,14 +456,15 @@ class TestSynthesize:
         j, m = np.arange(n_x), np.arange(n_k)
         half_alpha = 0.5 * dx * dk
         lag = np.arange(-(n_k - 1), n_x)
-        lag_chirp = np.exp(-1j * half_alpha * (lag * lag))
-        size = 1 << (n_x + n_k - 2).bit_length()
-        pre = w * np.exp(1j * (x0 * dk * m + half_alpha * (m * m)))
+        lag_chirp = _cis(-half_alpha * (lag * lag))
+        size = _smooth_length(n_x + n_k - 1)
+        pre = w * np.conj(_cis(-half_alpha * (m * m))) * _linear_phase(x0 * dk, n_k)
         chirp = np.zeros(size, dtype=np.complex128)
         chirp[:n_x] = lag_chirp[n_k - 1 :]
         chirp[size - n_k + 1 :] = lag_chirp[: n_k - 1]
         conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp))[:n_x]
-        return np.exp(1j * (x_arr * k_lo + half_alpha * (j * j))) * conv
+        post = _cis(x0 * k_lo) * _linear_phase(dx * k_lo, n_x)
+        return post * np.conj(_cis(-half_alpha * (j * j))) * conv
 
     @pytest.mark.parametrize(
         "n_x,n_k",
@@ -464,6 +475,51 @@ class TestSynthesize:
         dk = k[1] - k[0] if n_k > 1 else 0.1
         out = _synthesize(w, -3.0, dk, x)
         assert out.tobytes() == self.full_lag_reference(w, -3.0, dk, x).tobytes()
+
+    @pytest.mark.parametrize(
+        "n_x,x_lo,x_hi,n_k,k_lo,k_hi",
+        [
+            # uncertainty_floor's random spectra, packet_norm_transport at t = 2, a radial sum
+            (3001, -30.0, 30.0, 1601, -20.0, 20.0),
+            (4001, -30.0, 50.0, 6193, -3.0, 13.0),
+            (601, 0.0, 6.0, 2001, 0.0, 1.5),
+        ],
+    )
+    def test_matches_30_digit_sums(self, n_x, x_lo, x_hi, n_k, k_lo, k_hi):
+        x, k, w = self.case(n_x, x_lo, x_hi, n_k, k_lo, k_hi)
+        dk = k[1] - k[0]
+        out = _synthesize(w, k_lo, dk, x)
+        nodes = [0, n_x // 3 + 1, n_x - 1]
+        with mpmath.workdps(30):
+            terms = [mpmath.mpc(v.real, v.imag) for v in w]
+            k_m = [mpmath.mpf(k_lo) + m * mpmath.mpf(dk) for m in range(n_k)]
+            exact = [
+                complex(mpmath.fsum(t * mpmath.expj(mpmath.mpf(x[j]) * km) for t, km in zip(terms, k_m)))
+                for j in nodes
+            ]
+        assert np.abs(out[nodes] - exact).max() <= 1e-11 * np.abs(w).sum()
+
+    def test_smooth_length_is_the_least_5_smooth_length(self):
+        smooth = sorted(
+            2**a * 3**b * 5**c for a in range(16) for b in range(10) for c in range(7) if 2**a * 3**b * 5**c <= 1 << 15
+        )
+        for n in range(1, 20001):
+            size = _smooth_length(n)
+            assert size == smooth[bisect_left(smooth, n)]
+            assert size <= 1 << (n - 1).bit_length()
+
+    @pytest.mark.parametrize("c", [0.7, -123.456, 3.0e-4])
+    @pytest.mark.parametrize("n", [1, 2, 4096, 4097, 10191])
+    def test_linear_phase_matches_direct_exponentials(self, n, c):
+        ref = np.exp(1j * c * np.arange(n))
+        out = _linear_phase(c, n)
+        assert out.shape == (n,)
+        assert np.abs(out - ref).max() <= 4.0 * np.spacing(max(abs(c * n), 1.0))
+
+    def test_cis_is_bit_identical_to_complex_exp(self):
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-1.0, 1.0, 4000) * 10.0 ** rng.uniform(-3.0, 15.0, 4000)
+        assert _cis(theta).tobytes() == np.exp(1j * theta).tobytes()
 
     def test_non_uniform_positions_rejected(self):
         w = np.ones(5, dtype=complex)

@@ -249,6 +249,14 @@ class TestEnsembleDensity:
         with pytest.raises(ValueError, match="excludes every interior member"):
             well_ensemble_density(default_config(), Grid1D(-4.0, 4.0, 201), resonance_tol=2.0)
 
+    @pytest.mark.parametrize("tol", [-1e-6, float("nan")])
+    def test_negative_or_nan_resonance_tol_is_rejected(self, tol):
+        # |cos| < tol would exclude nothing, silently
+        with pytest.raises(ValueError, match="resonance_tol must be nonnegative"):
+            well_ensemble_density(default_config(), Grid1D(-4.0, 4.0, 201), resonance_tol=tol)
+        with pytest.raises(ValueError, match="resonance_tol must be nonnegative"):
+            pair_member(default_config(), 0.5, resonance_tol=tol)
+
     def test_single_spectral_node_is_rejected(self):
         with pytest.raises(ValueError, match="at least 2 nodes"):
             well_ensemble_density(default_config(), Grid1D(-4.0, 4.0, 201), n_k=1)
