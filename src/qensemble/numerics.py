@@ -25,6 +25,10 @@ TWO_PI = 2.0 * np.pi
 # Widest grid whose linspace nodes x_min + j (x_max - x_min) / (n - 1) stay finite.
 _MAX_WIDTH = np.finfo(np.float64).max / 2.0
 
+# Points per block of _decay_sum: its tables then stay near a megabyte, so each
+# block reuses the memory the last one freed instead of faulting in fresh pages.
+_DECAY_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -228,27 +232,59 @@ def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
     return post * np.conj(lag_chirp[:n_x]) * conv
 
 
+def _powers(base: ArrayF, n: int, first=1.0) -> ArrayF:
+    """Rows first * base**i, i = 0 .. n-1, by repeated multiplication, as an (n, base.size) table."""
+    table = np.empty((n, base.size))
+    table[0] = first
+    for row in range(1, n):
+        np.multiply(table[row - 1], base, out=table[row])
+    return table
+
+
 def _decay_sum(wts, dk: float, d) -> NDArray:
     """Sum_m wts[m] exp(-d_j m dk) at every d_j >= 0.
 
-    Baby-step/giant-step split m = b p + s with b = ceil(sqrt(n_k)): the
-    sum is sum_p exp(-d_j b p dk) (baby @ C)[j, p] with baby[j, s] =
-    exp(-d_j s dk) and C[s, p] = wts[b p + s], zero-padded.  That takes
-    about 2 sqrt(n_k) exponentials per d_j instead of n_k, and
-    O(n_d sqrt(n_k)) memory instead of a dense n_d * n_k matrix.  Every
-    factor lies in (0, 1], so no product overflows and each term is
-    accurate to a few ulp.  Unlike _synthesize, d may be any set of
+    Baby-step/giant-step split m = b p + s with b = ceil(sqrt(n_k))
+    (Paterson & Stockmeyer 1973): two exponentials per point, r = exp(-d_j dk)
+    and R = exp(-d_j b dk), a baby table r^s (s < b) and a giant table R^p
+    (p < n_p) by repeated multiplication, and the sum
+    sum_p R^p (C @ baby)[p, j] with C[p, s] = wts[b p + s], zero-padded.
+    That is O(n_d sqrt(n_k)) products instead of a dense n_d * n_k
+    exponential matrix; the points go through in blocks of _DECAY_BLOCK, so
+    the tables take O(sqrt(n_k)) memory per block.  Complex weights
+    contract as two real halves, so both tables stay real, and a half that
+    is all zero is not contracted.
+
+    Every factor lies in [0, 1], so no product overflows; a power that
+    underflows is 0.  With u = 2^-53, r and R are each within an ulp (2u)
+    of the exponential at the rounded exponent, r^s and R^p are s - 1 and
+    p - 1 further rounded products, and the two contractions are b- and
+    n_p-term dot products, so term m = b p + s carries a relative error of
+    at most about (4 (b + n_p) + 2 d_j m dk) u, the last part from rounding
+    the exponents d_j dk and b d_j dk, which the exponential's condition
+    number carries at any evaluation.  The sum at d_j is within
+    u sum_m (4 (b + n_p) + 2 d_j m dk) |w_m| exp(-d_j m dk) of exact
+    (Higham 2002, sec. 3.1).  Unlike _synthesize, d may be any set of
     points: a real-exponent chirp would be ill-conditioned.
     """
     w = np.asarray(wts)
-    step = np.asarray(d, dtype=np.float64)[:, None] * dk
+    step = np.asarray(d, dtype=np.float64) * dk
     b = math.isqrt(w.size - 1) + 1
     n_p = -(-w.size // b)
     coef = np.zeros(b * n_p, dtype=w.dtype)
     coef[: w.size] = w
-    baby = np.exp(-step * np.arange(b))
-    giant = np.exp(-step * (b * np.arange(n_p)))
-    return np.sum(giant * (baby @ coef.reshape(n_p, b).T), axis=1)
+    coef = coef.reshape(n_p, b)
+    out = np.zeros(step.shape, dtype=np.result_type(coef, 0.0))
+    halves = [(out.real, coef.real), (out.imag, coef.imag)] if np.iscomplexobj(out) else [(out, coef)]
+    # an all-zero half, as of a real amplitude, stays 0.0
+    halves = [(part, c) for part, c in halves if c.any()]
+    for lo in range(0, step.size, _DECAY_BLOCK):
+        cols = slice(lo, lo + _DECAY_BLOCK)
+        baby = _powers(np.exp(-step[cols]), b)
+        giant = _powers(np.exp(-b * step[cols]), n_p)
+        for part, c in halves:
+            part[cols] = np.einsum("pj,pj->j", giant, c @ baby)
+    return out
 
 
 def integrate_real(values: ArrayF, spacing: float) -> float:
@@ -295,6 +331,17 @@ def radial_superposition(
     kernel="decaying".  Vectorized over r; returns an array matching r.
     The oscillatory kernel runs on the chirp-z synthesis, so r must be a
     scalar or uniformly spaced (see _synthesize); other r raise ValueError.
+    The decaying kernel is _decay_sum, with its bound.
+
+    Oscillatory nodes with k_max |r| < 0.1 sum a series in t = (k_max r)^2
+    instead (see below).  Its moments sum_m wts_m k_m (-q_m)^j, j <= 4,
+    q = (k / k_max)^2, come from one running-product table whose row j is
+    j rounded products away from k (-q)^j: within 4u of it (u = 2^-53),
+    with q itself rounded in 3u.  numpy sums each row pairwise, which takes
+    at most D = 26 + log2(n_k) additions per term.  With t^j, the Horner
+    steps, the factorial and the prefactor, each term of moment j carries
+    at most (9 j + 4 + D) u, weighted by t^j / (2j+1)!; the first omitted
+    term is below 3e-18 of the leading one.
     """
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if kernel not in ("oscillatory", "decaying"):
@@ -316,18 +363,24 @@ def radial_superposition(
     # the FFT's absolute rounding in Im does not shrink with r, so dividing
     # by r would magnify it without bound near the origin.  Nodes with
     # k_max |r| < 0.1 sum the series sin(kr)/r = k sum_j (-(kr)^2)^j/(2j+1)!
-    # instead, in u = k/k_max and t = (k_max r)^2; the first omitted term is
+    # instead, in q = (k/k_max)^2 and t = (k_max r)^2; the first omitted term is
     # below 3e-18 of the leading one, and past the cut the division costs at
     # most about 1e-14 of the peak.
     small = np.abs(r_arr) * ball.k_max < 0.1
     out /= np.where(small, 1.0, r_arr)
     if small.any():
+        # the five moments sum_m wts_m k_m (-q_m)^j from one running-product
+        # table, each row summed pairwise (see the docstring's bound)
+        table = _powers(-((k / ball.k_max) ** 2), 5, first=k)
+        moments = np.zeros(5, dtype=np.complex128)
+        if wts.real.any():
+            moments.real = np.sum(table * wts.real, axis=1)
+        if wts.imag.any():
+            moments.imag = np.sum(table * wts.imag, axis=1)
         t = (ball.k_max * r_arr[small]) ** 2
-        u2 = (k / ball.k_max) ** 2
         series = np.zeros(t.shape, dtype=np.complex128)
         for j in range(4, -1, -1):
-            moment = np.dot(wts, k * (-u2) ** j) / math.factorial(2 * j + 1)
-            series = series * t + moment
+            series = series * t + moments[j] / math.factorial(2 * j + 1)
         out[small] = series
     return pref * out
 

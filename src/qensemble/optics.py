@@ -256,6 +256,10 @@ def formalism_agreement(
         denom = float(np.dot(s_all, s_all))
         if denom == 0.0:
             raise ValueError("state-route intensities vanish identically")
+        if not f_all.any():
+            raise ValueError(
+                f"field-route intensities vanish identically for e_amp = {e_amp:g}, b_amp = {b_amp:g}, c = {c:g}"
+            )
         constant = float(np.dot(f_all, s_all)) / denom
         max_dev = float(np.max(np.abs(f_all - constant * s_all)))
     # dot(f, s) holds twice the largest field intensity (the baseline peak at

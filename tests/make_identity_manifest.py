@@ -83,6 +83,7 @@ CASES = [
     _scenario("bomb", "n_trials=20000", flags=("--seed", "2817")),
     _scenario("spread", "times=0,1e300"),
     _scenario("well", "v0=4e6"),
+    _scenario("well", "x_min=-400", "x_max=400", "n_x=8001"),
     *_DENSE_FIGURES,
     *_LIGHT_TABLES,
     ["selftest"],

@@ -179,6 +179,14 @@ class TestValidationPaths:
             (["bomb", "--set", f"n_trials={10**30}"], "n_trials must be at most 2**63 - 1"),
             (["bomb", "--seed", "-1"], "--seed must be at least 0, got -1"),
             (["well", "--set", "resonance_tol=-1"], "resonance_tol must be nonnegative, got -1"),
+            (
+                ["eraser", "--set", "e_amp=0", "--set", "b_amp=0"],
+                "field-route intensities vanish identically for e_amp = 0, b_amp = 0, c = 1",
+            ),
+            (
+                ["eraser", "--set", "e_amp=1e-162", "--set", "b_amp=1e-162"],
+                "field-route intensities vanish identically for e_amp = 1e-162, b_amp = 1e-162, c = 1",
+            ),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -191,6 +199,13 @@ class TestValidationPaths:
         assert "Traceback" not in err
         assert stdout == ""
         assert not out.exists()
+
+    def test_subnormal_field_intensities_still_pass(self, capsys, tmp_path):
+        # 1e-160 squares to a subnormal, not to 0, so the eraser's fringes survive
+        out = tmp_path / "t.csv"
+        code, _, err = run(["eraser", "--set", "e_amp=1e-160", "--set", "b_amp=1e-160", "--out", str(out)], capsys)
+        assert code == 0, err
+        assert out.exists()
 
 
 class TestScenarioRuns:

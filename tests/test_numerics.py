@@ -1,6 +1,7 @@
 """Quadrature and superposition primitives against independent references."""
 
 import math
+import warnings
 from bisect import bisect_left
 
 import mpmath
@@ -324,6 +325,44 @@ class TestRadialProfiles:
         with pytest.raises(ValueError, match="uniform"):
             radial_superposition(flat, KBall(1.0), np.array([0.0, 0.1, 0.25, 0.3]))
 
+    @pytest.mark.parametrize(
+        "convention,n_k,r",
+        [
+            # the first dense-figures operation at seed 7: the ensemble's v = 0 ball and collapse's full ball
+            (ensemble.KineticConvention.SINGLE, 801, np.linspace(0.0, 8.0, 801)),
+            (ensemble.KineticConvention.DOUBLE, 2001, np.linspace(0.0, 6.0, 601)),
+        ],
+        ids=["ensemble-801", "collapse-2001"],
+    )
+    def test_series_within_its_stated_bound_of_30_digit_sums(self, convention, n_k, r):
+        p = ensemble.ParticleModel(total_energy=1.5177710407756604)
+        amp = ensemble.member_amplitude(p, ensemble.allowed_k_range(p, 0.0, convention))
+        ball = KBall(amp.k_range.k_hi, n_k)
+        psi = radial_superposition(amp, ball, r)
+        k, w, _ = _simpson_rule(0.0, ball.k_max, n_k)
+        wts = (w * k * np.asarray(amp(k), dtype=np.complex128)).real
+        pref = TWO_PI**-1.5 * 4.0 * np.pi
+        small = np.nonzero(r * ball.k_max < 0.1)[0]
+        nodes = small[[0, small.size // 2, -1]]
+        # the docstring's bound: (9 j + 4 + D) u on each term of moment j, weighted by t^j / (2j+1)!
+        depth = 26 + math.log2(n_k)
+        q = (k / ball.k_max) ** 2
+        errors, bounds = [], []
+        for j in nodes:
+            t = (ball.k_max * r[j]) ** 2
+            scale = [t**i / math.factorial(2 * i + 1) * np.sum(np.abs(wts * k * q**i)) for i in range(5)]
+            rounding = 2.0**-53 * sum((9 * i + 4 + depth) * s for i, s in enumerate(scale))
+            bounds.append(pref * (rounding + 3e-18 * scale[0]))
+            with mpmath.workdps(30):
+                rr = mpmath.mpf(r[j])
+                kernel = [mpmath.sin(mpmath.mpf(km) * rr) / rr if r[j] else mpmath.mpf(km) for km in k]
+                exact = float(mpmath.mpf(pref) * mpmath.fsum(mpmath.mpf(a) * g for a, g in zip(wts, kernel)))
+            errors.append(abs(psi[j].real - exact))
+        ratio = np.array(errors) / np.array(bounds)
+        assert np.all(psi[nodes].imag == 0.0)
+        assert ratio.max() <= 1.0
+        assert ratio.max() >= 1e-3
+
 
 class TestDecaySum:
     """Baby-step/giant-step decaying sums against the dense exp matrix."""
@@ -336,6 +375,7 @@ class TestDecaySum:
             (23, np.linspace(0.0, 6.0, 37), True),  # b = 5 leaves 2 padded slots
             (2001, np.r_[0.0, np.geomspace(1e-4, 40.0, 300)], False),
             (1601, np.random.default_rng(3).uniform(0.0, 9.0, 250), True),
+            (201, np.linspace(0.0, 9.0, 2 * numerics._DECAY_BLOCK + 452), True),  # two whole blocks and a part
         ],
     )
     def test_matches_dense(self, n_k, d, complex_weights):
@@ -349,6 +389,84 @@ class TestDecaySum:
         out = _decay_sum(w, dk, d)
         assert out.shape == d.shape
         assert np.abs(out - dense).max() <= 1e-13 * np.abs(w).sum()
+
+    @staticmethod
+    def bound(w, dk, d):
+        """The docstring's bound: u sum_m (4 (b + n_p) + 2 d m dk) |w_m| exp(-d m dk)."""
+        b = math.isqrt(w.size - 1) + 1
+        n_p = -(-w.size // b)
+        x = d * dk * np.arange(w.size)
+        return 2.0**-53 * np.sum((4 * (b + n_p) + 2 * x) * np.abs(w) * np.exp(-x))
+
+    @pytest.mark.parametrize(
+        "module,run",
+        [
+            # the first dense-figures operation at seed 7: the well's exterior and the ensemble's v = 2.5 ball
+            (
+                squarewell,
+                lambda: squarewell.well_ensemble_density(
+                    squarewell.WellConfig(
+                        ensemble.ParticleModel(total_energy=1.5177710407756604), v0=3.6756215699717756, x0=1.0
+                    ),
+                    Grid1D(-8.0, 8.0, 8001),
+                    n_k=2001,
+                    resonance_tol=1e-6,
+                ),
+            ),
+            (
+                numerics,
+                lambda: ensemble.potential_wavefunction(
+                    ensemble.ParticleModel(total_energy=1.5177710407756604),
+                    ensemble.PotentialSpec.constant(2.5),
+                    Grid1D(0.0, 8.0, 801),
+                    n_k=801,
+                ),
+            ),
+        ],
+        ids=["well-exterior", "ensemble-v2.5"],
+    )
+    def test_within_its_stated_bound_of_30_digit_sums(self, module, run, monkeypatch):
+        calls = []
+
+        def recording(wts, dk, d):
+            calls.append((np.asarray(wts), dk, np.asarray(d)))
+            return _decay_sum(wts, dk, d)
+
+        monkeypatch.setattr(module, "_decay_sum", recording)
+        run()
+        ((w, dk, d),) = calls
+        out = _decay_sum(w, dk, d)
+        nodes = [0, d.size // 2, d.size - 1]
+        with mpmath.workdps(30):
+            step = mpmath.mpf(dk)
+            exact = [
+                complex(mpmath.fsum(mpmath.mpc(wm) * mpmath.exp(-mpmath.mpf(d[j]) * m * step) for m, wm in enumerate(w)))
+                for j in nodes
+            ]
+        ratio = np.abs(out[nodes] - exact) / [self.bound(w, dk, d[j]) for j in nodes]
+        assert ratio.max() <= 1.0
+        assert ratio.max() >= 1e-3
+
+    @pytest.mark.parametrize("n_k", [1, 2, 23, 2001])
+    def test_zero_distance_sums_the_weights(self, n_k):
+        w = np.random.default_rng(n_k).normal(size=n_k)
+        out = _decay_sum(w, 0.37, np.zeros(3))
+        assert np.all(out == out[0])
+        assert abs(out[0] - math.fsum(w)) <= self.bound(w, 0.37, 0.0)
+
+    def test_underflowing_giant_powers_stay_finite(self):
+        # b = 45: at d = 3e3 the giant powers R^p pass through the subnormals to 0,
+        # and from d dk b = 800 on R = exp(-d b dk) itself is 0
+        n_k, dk = 2001, 1.7 / 2000
+        w = np.random.default_rng(5).uniform(0.0, 1.0, n_k)
+        d = np.array([0.0, 10.0, 3e3, 800.0 / (dk * 45), 3e4, 1e6, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _decay_sum(w, dk, d)
+            dense = np.exp(-np.outer(d, dk * np.arange(n_k))) @ w
+        assert np.all(np.isfinite(out)) and np.all(out >= 0.0)
+        assert np.abs(out - dense).max() <= 1e-13 * np.abs(w).sum()
+        assert out[-1] == w[0]
 
 
 def line_synthesis(amplitude, lo, hi, x, n_k=2001):
