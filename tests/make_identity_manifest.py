@@ -84,6 +84,8 @@ CASES = [
     _scenario("spread", "times=0,1e300"),
     _scenario("well", "v0=4e6"),
     _scenario("well", "x_min=-400", "x_max=400", "n_x=8001"),
+    _scenario("ensemble", "potentials=1.0,3.0"),
+    _scenario("collapse", "e_rfa=2"),
     *_DENSE_FIGURES,
     *_LIGHT_TABLES,
     ["selftest"],
