@@ -22,7 +22,6 @@ import numpy as np
 from . import ensemble, optics, wavepacket
 from .ensemble import (
     ParticleModel,
-    PotentialSpec,
     Regime,
     allowed_k_range,
     apply_retarding_filter,
@@ -106,7 +105,7 @@ def check_zero_potential_reduction() -> tuple[bool, str]:
     p = ParticleModel()
     grid = Grid1D(0.0, 8.0, 161)
     free = free_wavefunction(p, grid)
-    gated = potential_wavefunction(p, PotentialSpec.constant(0.0), grid)
+    gated = potential_wavefunction(p, 0.0, grid)
     same = bool(np.array_equal(free.values, gated.values))
     detail = "identical arrays" if same else "arrays differ"
     return same, detail
@@ -117,7 +116,7 @@ def check_decaying_tail_shape() -> tuple[bool, str]:
     p = ParticleModel()
     kr = allowed_k_range(p, 3.0)
     grid = Grid1D(0.1, 4.0, 101)
-    psi = potential_wavefunction(p, PotentialSpec.constant(3.0), grid)
+    psi = potential_wavefunction(p, 3.0, grid)
     vals = psi.values
     imag_max = float(np.abs(vals.imag).max())
     real = vals.real

@@ -28,11 +28,9 @@ from .acceptance import run_checks
 from .ensemble import (
     KineticConvention,
     ParticleModel,
-    PotentialSpec,
     allowed_k_range,
     apply_retarding_filter,
     collapse_fraction,
-    member_amplitude,
     potential_wavefunction,
 )
 from .numerics import ComplexField, Grid1D, KBall, SingleMode, integrate_real, radial_superposition
@@ -340,7 +338,7 @@ def _q(value, unit: str) -> dict:
 
 def _origin_amplitude(p: ParticleModel, k_hi: float):
     """The flat ball's closed-form amplitude at r = 0, (2 pi)^(-3/2) (4 pi / 3) sqrt(m) k_hi^3; inf past a double."""
-    return (2.0 * np.pi) ** -1.5 * (4.0 * np.pi / 3.0) * np.sqrt(p.mass) * np.float64(k_hi) ** 3
+    return (2.0 * np.pi) ** -1.5 * (4.0 * np.pi / 3.0) * p.flat_amplitude * np.float64(k_hi) ** 3
 
 
 def _band(p: ParticleModel, v: float, convention: KineticConvention, where: str):
@@ -366,7 +364,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
     for v in params["potentials"]:
         kr = _band(p, v, convention, f" at potential {v:g}")
         tag = f"v={v:g}"
-        psi = potential_wavefunction(p, PotentialSpec.constant(v), grid, n_k=params["n_k"], convention=convention)
+        psi = potential_wavefunction(p, v, grid, n_k=params["n_k"], convention=convention)
         res.columns.append((f"rho[{tag}]", "1/length^3", psi.density()))
         res.outputs[f"k_hi[{tag}]"] = _q(kr.k_hi, "1/length")
         res.outputs[f"regime[{tag}]"] = kr.regime.name.lower()
@@ -450,10 +448,7 @@ def _run_collapse(params: dict, seed: int) -> ScenarioResult:
     res = ScenarioResult(geometry="3d_radial")
 
     def flat_field(k_hi: float) -> np.ndarray:
-        if k_hi <= 0.0:
-            return np.zeros(grid.points().size, dtype=np.complex128)
-        amp = member_amplitude(p, allowed_k_range(p, 0.0, convention))
-        return ComplexField(grid, radial_superposition(amp, KBall(k_hi, n_k), grid.points())).values
+        return ComplexField(grid, radial_superposition(p.flat_amplitude, KBall(k_hi, n_k), grid.points())).values
 
     # the surviving band [k1, k0] is the full ball minus the blocked core,
     # which keeps both quadratures free of indicator discontinuities
@@ -692,6 +687,11 @@ def main(argv=None) -> int:
         return _run_scenario(args.command, args)
     except (_CliError, ValueError) as exc:
         print(f"qensemble {args.command}: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # the table is rendered in full before its file is opened, so nothing is written
+        reason = str(exc) or "out of memory"
+        print(f"qensemble {args.command}: error: {reason}; lower the node counts", file=sys.stderr)
         return 1
 
 

@@ -2,8 +2,9 @@
 
 A particle with total energy E_T is represented not by one plane wave but by
 an ensemble of members filling every wavevector the energy budget allows.
-Free members occupy k in [0, k0]; a potential V shifts the bound, and where
-V exceeds E_T the members decay exponentially instead of oscillating.
+Every member carries the same real amplitude chi0 = sqrt(m).  Free members
+occupy k in [0, k0]; a constant potential V shifts the bound, and where V
+exceeds E_T the members decay exponentially instead of oscillating.
 Densities are modulus squared throughout.  Everything is in natural units,
 hbar = 1; the mass m defaults to 1 and stays explicit, since the norm of an
 ensemble scales with it.
@@ -17,14 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .numerics import (
     TWO_PI,
-    ArrayC,
-    ArrayF,
     ComplexField,
     Grid1D,
     KBall,
@@ -71,6 +69,11 @@ class ParticleModel:
             if not np.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")
 
+    @property
+    def flat_amplitude(self) -> float:
+        """The members' flat amplitude chi0 = sqrt(m)."""
+        return float(np.sqrt(self.mass))
+
 
 @dataclass(frozen=True)
 class KRange:
@@ -92,69 +95,6 @@ class KRange:
 
     def contains(self, other: "KRange") -> bool:
         return self.k_lo <= other.k_lo and other.k_hi <= self.k_hi
-
-
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Real-valued potential of position."""
-
-    fn: Callable[[ArrayF], ArrayF]
-
-    @classmethod
-    def constant(cls, value: float) -> "PotentialSpec":
-        v = float(value)
-        return cls(fn=lambda x: np.full(np.shape(x), v))
-
-    @classmethod
-    def piecewise_constant(cls, breakpoints, values) -> "PotentialSpec":
-        """Steps: values[i] applies left of breakpoints[i]; values[-1] beyond."""
-        bp = np.asarray(breakpoints, dtype=np.float64)
-        vals = np.asarray(values, dtype=np.float64)
-        if vals.size != bp.size + 1:
-            raise ValueError("need one more value than breakpoints")
-        if np.any(np.diff(bp) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-
-        def step(x):
-            return vals[np.searchsorted(bp, np.asarray(x, dtype=np.float64), side="right")]
-
-        return cls(fn=step)
-
-    def __call__(self, x) -> ArrayF:
-        out = np.asarray(self.fn(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-        if not np.all(np.isfinite(out)):
-            raise ValueError("potential must be finite on the evaluation grid")
-        return out
-
-
-@dataclass(frozen=True)
-class EnsembleAmplitude:
-    """Flat member amplitude chi0(k) = sqrt(m) on a range, zero outside."""
-
-    norm_mass: float
-    k_range: KRange
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.norm_mass) or self.norm_mass <= 0.0:
-            raise ValueError("norm_mass must be positive and finite")
-
-    @property
-    def flat_value(self) -> float:
-        return float(np.sqrt(self.norm_mass))
-
-    def __call__(self, k) -> ArrayC:
-        k_arr = np.asarray(k, dtype=np.float64)
-        inside = (k_arr >= self.k_lo_tol) & (k_arr <= self.k_hi_tol)
-        return np.where(inside, self.flat_value, 0.0).astype(np.complex128)
-
-    @property
-    def k_lo_tol(self) -> float:
-        # tolerant bounds so quadrature nodes on the edge are kept
-        return self.k_range.k_lo - 1e-12 * max(1.0, self.k_range.k_hi)
-
-    @property
-    def k_hi_tol(self) -> float:
-        return self.k_range.k_hi + 1e-12 * max(1.0, self.k_range.k_hi)
 
 
 @dataclass(frozen=True)
@@ -192,63 +132,42 @@ def allowed_k_range(
     return KRange(0.0, 0.0, Regime.OSCILLATORY)
 
 
-def member_amplitude(p: ParticleModel, k_range: KRange) -> EnsembleAmplitude:
-    """Flat amplitude sqrt(m) over the given range."""
-    return EnsembleAmplitude(norm_mass=p.mass, k_range=k_range)
-
-
 def free_wavefunction(p: ParticleModel, grid: Grid1D, n_k: int = 801) -> ComplexField:
     """Isotropic free-particle ensemble wavefunction on a radial grid.
 
     psi(r) = (2 pi)^{-3/2} * 4 pi * int_0^{k0} k^2 sqrt(m) sin(kr)/(kr) dk
     with k0 the free oscillatory bound.
     """
-    rng = allowed_k_range(p, 0.0)
-    chi = member_amplitude(p, rng)
-    ball = KBall(rng.k_hi, n_k)
-    vals = radial_superposition(chi, ball, grid.points(), kernel="oscillatory")
-    return ComplexField(grid, vals)
+    ball = KBall(allowed_k_range(p, 0.0).k_hi, n_k)
+    return ComplexField(grid, radial_superposition(p.flat_amplitude, ball, grid.points(), kernel="oscillatory"))
 
 
 def potential_wavefunction(
     p: ParticleModel,
-    potential: PotentialSpec,
+    potential: float,
     grid: Grid1D,
     n_k: int = 801,
     convention: KineticConvention = KineticConvention.SINGLE,
 ) -> ComplexField:
-    """Ensemble wavefunction with a position-dependent allowed range.
+    """Ensemble wavefunction at a constant potential on a radial grid.
 
-    Each node gets an independent radial superposition over the range
-    allowed by the local potential: the oscillatory kernel sin(kr)/(kr)
-    where E_T > V, the decaying kernel exp(-kr) where E_T < V.  Each maximal
-    run of contiguous nodes sharing one potential value is synthesized in
-    one call, since the oscillatory kernel needs uniformly spaced nodes; a
-    constant potential is one call on the whole grid.  A potential whose
-    density overflows a double raises ValueError naming it.
+    The members fill the range allowed_k_range gives at the potential: the
+    oscillatory kernel sin(kr)/(kr) where E_T > V, the decaying kernel
+    exp(-kr) where E_T < V, and no member, so psi = 0, where E_T = V.  A
+    non-finite potential, or one whose density overflows a double, raises
+    ValueError naming it.
     """
-    x = grid.points()
-    v_vals = potential(x)
-    out = np.zeros(x.shape, dtype=np.complex128)
-    for v in np.unique(v_vals):
-        rng = allowed_k_range(p, float(v), convention=convention)
-        if rng.is_empty:
-            continue
-        chi = member_amplitude(p, rng)
-        ball = KBall(rng.k_hi, n_k)
-        kernel = "oscillatory" if rng.regime is Regime.OSCILLATORY else "decaying"
-        idx = np.nonzero(v_vals == v)[0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run in np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1):
-                nodes = slice(run[0], run[-1] + 1)
-                out[nodes] = radial_superposition(chi, ball, x[nodes], kernel=kernel)
-            finite = np.isfinite(np.abs(out[idx]) ** 2).all()
-        if not finite:
-            raise ValueError(
-                f"the density at potential {v:g} overflows: its {rng.regime.name.lower()} "
-                f"band reaches k_hi = {rng.k_hi:g}"
-            )
-    return ComplexField(grid, out)
+    rng = allowed_k_range(p, potential, convention=convention)
+    kernel = "oscillatory" if rng.regime is Regime.OSCILLATORY else "decaying"
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = radial_superposition(p.flat_amplitude, KBall(rng.k_hi, n_k), grid.points(), kernel=kernel)
+        finite = np.isfinite(vals**2).all()
+    if not finite:
+        raise ValueError(
+            f"the density at potential {potential:g} overflows: its {rng.regime.name.lower()} "
+            f"band reaches k_hi = {rng.k_hi:g}"
+        )
+    return ComplexField(grid, vals)
 
 
 def parseval_norm(p: ParticleModel, k: float) -> float:
@@ -261,10 +180,9 @@ def parseval_norm(p: ParticleModel, k: float) -> float:
         raise ValueError("k must be finite and nonnegative")
     if k == 0.0:
         return 0.0
-    chi = member_amplitude(p, KRange(0.0, k))
+    chi0 = p.flat_amplitude
     q, w, _ = _simpson_rule(0.0, k, 2001)
-    dens = np.abs(chi(q)) ** 2
-    return float(4.0 * np.pi * integrate_weighted(dens * q * q, w))
+    return float(4.0 * np.pi * integrate_weighted(chi0 * chi0 * q * q, w))
 
 
 def flat_norm_deviation(p: ParticleModel, k: float) -> tuple[float, float, str]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -209,6 +208,24 @@ def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
     x0 and dx come from the ends of x, which must be uniform to 1e-12
     relative (a scalar or one node counts as uniform); a non-uniform x
     raises ValueError.
+
+    With u = 2^-53, N = n_x + n_k - 1 and alpha = |dx dk|, the sum at x_j
+    is within
+        u [(21 log2 L + 3) sqrt(N) |w|_2 + 36 sum_m |w_m|
+           + sum_m |w_m| (alpha (j^2 + m^2) + 2 |x0 dk| m + 2 |dx k_lo| j + |x0 k_lo|)]
+        + |x_j - x0 - j dx| sum_m |k_m w_m|
+    of exact (Higham 2002, lemma 3.5 and thm 24.2).  The first term is the
+    FFT convolution of length L: two forward transforms and one inverse at
+    7u per stage (Higham's radix-2 constant, taken for numpy's radix-2..5
+    passes) and the pointwise product, each carried to one node by
+    Cauchy-Schwarz against the N unit chirp entries.  The second is the
+    eight phasors (cos and sin within an ulp) and the seven complex products
+    (sqrt(2) gamma_2 each) that each term or node passes through.  The third
+    is the phase arguments, each one or two rounded products whose error the
+    exponential carries at any evaluation; the three chirps, alpha j m
+    split as (j^2 + m^2 - (j - m)^2) / 2 with one rounding of alpha / 2
+    shared, add up to alpha (j^2 + m^2).  The last is x_j's distance from
+    the uniform line the transform evaluates on.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     w = np.asarray(wts, dtype=np.complex128)
@@ -241,8 +258,8 @@ def _powers(base: ArrayF, n: int, first=1.0) -> ArrayF:
     return table
 
 
-def _decay_sum(wts, dk: float, d) -> NDArray:
-    """Sum_m wts[m] exp(-d_j m dk) at every d_j >= 0.
+def _decay_sum(wts: ArrayF, dk: float, d) -> ArrayF:
+    """Sum_m wts[m] exp(-d_j m dk) at every d_j >= 0, for real weights.
 
     Baby-step/giant-step split m = b p + s with b = ceil(sqrt(n_k))
     (Paterson & Stockmeyer 1973): two exponentials per point, r = exp(-d_j dk)
@@ -251,9 +268,7 @@ def _decay_sum(wts, dk: float, d) -> NDArray:
     sum_p R^p (C @ baby)[p, j] with C[p, s] = wts[b p + s], zero-padded.
     That is O(n_d sqrt(n_k)) products instead of a dense n_d * n_k
     exponential matrix; the points go through in blocks of _DECAY_BLOCK, so
-    the tables take O(sqrt(n_k)) memory per block.  Complex weights
-    contract as two real halves, so both tables stay real, and a half that
-    is all zero is not contracted.
+    the tables take O(sqrt(n_k)) memory per block.
 
     Every factor lies in [0, 1], so no product overflows; a power that
     underflows is 0.  With u = 2^-53, r and R are each within an ulp (2u)
@@ -267,23 +282,19 @@ def _decay_sum(wts, dk: float, d) -> NDArray:
     (Higham 2002, sec. 3.1).  Unlike _synthesize, d may be any set of
     points: a real-exponent chirp would be ill-conditioned.
     """
-    w = np.asarray(wts)
+    w = np.asarray(wts, dtype=np.float64)
     step = np.asarray(d, dtype=np.float64) * dk
     b = math.isqrt(w.size - 1) + 1
     n_p = -(-w.size // b)
-    coef = np.zeros(b * n_p, dtype=w.dtype)
+    coef = np.zeros(b * n_p)
     coef[: w.size] = w
     coef = coef.reshape(n_p, b)
-    out = np.zeros(step.shape, dtype=np.result_type(coef, 0.0))
-    halves = [(out.real, coef.real), (out.imag, coef.imag)] if np.iscomplexobj(out) else [(out, coef)]
-    # an all-zero half, as of a real amplitude, stays 0.0
-    halves = [(part, c) for part, c in halves if c.any()]
+    out = np.empty(step.shape)
     for lo in range(0, step.size, _DECAY_BLOCK):
         cols = slice(lo, lo + _DECAY_BLOCK)
         baby = _powers(np.exp(-step[cols]), b)
         giant = _powers(np.exp(-b * step[cols]), n_p)
-        for part, c in halves:
-            part[cols] = np.einsum("pj,pj->j", giant, c @ baby)
+        out[cols] = np.einsum("pj,pj->j", giant, coef @ baby)
     return out
 
 
@@ -318,20 +329,16 @@ def integrate_ball(radial_samples: ArrayC, ball: KBall) -> complex:
     return complex(4.0 * np.pi * np.dot(w, vals * k * k))
 
 
-def radial_superposition(
-    amplitude: Callable[[ArrayF], ArrayC],
-    ball: KBall,
-    r,
-    kernel: str = "oscillatory",
-) -> ArrayC:
-    """Isotropic 3-D superposition over a ball of wavevectors.
+def radial_superposition(amplitude: float, ball: KBall, r, kernel: str = "oscillatory") -> ArrayF:
+    """Isotropic 3-D superposition of a flat amplitude over a ball of wavevectors.
 
-    Evaluates (2*pi)**(-3/2) * 4*pi * int_0^{k_max} k^2 chi(k) K(k, r) dk
-    with K = sin(kr)/(kr) for kernel="oscillatory" and K = exp(-k|r|) for
-    kernel="decaying".  Vectorized over r; returns an array matching r.
-    The oscillatory kernel runs on the chirp-z synthesis, so r must be a
-    scalar or uniformly spaced (see _synthesize); other r raise ValueError.
-    The decaying kernel is _decay_sum, with its bound.
+    Evaluates (2*pi)**(-3/2) * 4*pi * int_0^{k_max} k^2 chi0 K(k, r) dk for
+    the real constant chi0 = amplitude, with K = sin(kr)/(kr) for
+    kernel="oscillatory" and K = exp(-k|r|) for kernel="decaying".
+    Vectorized over r; returns a real array matching r.  The oscillatory
+    kernel runs on the chirp-z synthesis, so r must be a scalar or uniformly
+    spaced (see _synthesize); other r raise ValueError.  The decaying kernel
+    is _decay_sum, with its bound.
 
     Oscillatory nodes with k_max |r| < 0.1 sum a series in t = (k_max r)^2
     instead (see below).  Its moments sum_m wts_m k_m (-q_m)^j, j <= 4,
@@ -347,40 +354,29 @@ def radial_superposition(
     if kernel not in ("oscillatory", "decaying"):
         raise ValueError("kernel must be 'oscillatory' or 'decaying'")
     if ball.k_max == 0.0:
-        return np.zeros(r_arr.shape, dtype=np.complex128)
+        return np.zeros(r_arr.shape)
     pref = TWO_PI ** -1.5 * 4.0 * np.pi
     k, w, dk = _simpson_rule(0.0, ball.k_max, ball.n_k)
-    wts = w * k * np.asarray(amplitude(k), dtype=np.complex128)
+    wts = w * k * amplitude
     if kernel == "decaying":
         return pref * _decay_sum(wts * k, dk, np.abs(r_arr))
-    # k^2 sin(kr)/(kr) = k Im e^{ikr} / r; the real and imaginary weights go
-    # through separately so that each keeps its own Im; an all-zero half stays 0.0
-    out = np.zeros(r_arr.shape, dtype=np.complex128)
-    if wts.real.any():
-        out.real = _synthesize(wts.real, 0.0, dk, r_arr).imag
-    if wts.imag.any():
-        out.imag = _synthesize(wts.imag, 0.0, dk, r_arr).imag
-    # the FFT's absolute rounding in Im does not shrink with r, so dividing
-    # by r would magnify it without bound near the origin.  Nodes with
-    # k_max |r| < 0.1 sum the series sin(kr)/r = k sum_j (-(kr)^2)^j/(2j+1)!
-    # instead, in q = (k/k_max)^2 and t = (k_max r)^2; the first omitted term is
-    # below 3e-18 of the leading one, and past the cut the division costs at
-    # most about 1e-14 of the peak.
+    # k^2 sin(kr)/(kr) = k Im e^{ikr} / r.  The FFT's absolute rounding in Im
+    # does not shrink with r, so dividing by r would magnify it without bound
+    # near the origin.  Nodes with k_max |r| < 0.1 sum the series
+    # sin(kr)/r = k sum_j (-(kr)^2)^j/(2j+1)! instead, in q = (k/k_max)^2 and
+    # t = (k_max r)^2; the first omitted term is below 3e-18 of the leading
+    # one, and past the cut the division costs at most about 1e-14 of the peak.
+    out = _synthesize(wts, 0.0, dk, r_arr).imag
     small = np.abs(r_arr) * ball.k_max < 0.1
-    out /= np.where(small, 1.0, r_arr)
+    # a product with the reciprocal, here and in the series, is the rounding the identity manifest records
+    out *= 1.0 / np.where(small, 1.0, r_arr)
     if small.any():
         # the five moments sum_m wts_m k_m (-q_m)^j from one running-product
         # table, each row summed pairwise (see the docstring's bound)
-        table = _powers(-((k / ball.k_max) ** 2), 5, first=k)
-        moments = np.zeros(5, dtype=np.complex128)
-        if wts.real.any():
-            moments.real = np.sum(table * wts.real, axis=1)
-        if wts.imag.any():
-            moments.imag = np.sum(table * wts.imag, axis=1)
+        moments = np.sum(_powers(-((k / ball.k_max) ** 2), 5, first=k) * wts, axis=1)
         t = (ball.k_max * r_arr[small]) ** 2
-        series = np.zeros(t.shape, dtype=np.complex128)
+        series = np.zeros(t.shape)
         for j in range(4, -1, -1):
-            series = series * t + moments[j] / math.factorial(2 * j + 1)
+            series = series * t + moments[j] * (1.0 / math.factorial(2 * j + 1))
         out[small] = series
     return pref * out
-

@@ -380,6 +380,25 @@ class TestProcessReuse:
         assert "refusing to serialize non-finite value inf" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "message,shown",
+        [
+            ("Unable to allocate 7.28 TiB for an array with shape (1000000000001,) and data type float64", None),
+            ("", "out of memory"),
+        ],
+        ids=["numpy-message", "no-message"],
+    )
+    def test_unallocatable_node_count_exits_one_without_output(self, message, shown, capsys, tmp_path, monkeypatch):
+        def exhausted(params, seed):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(cli.RUNNERS, "ensemble", exhausted)
+        out = tmp_path / "e.csv"
+        code, stdout, err = run(["ensemble", "--set", "n_k=1000000000000", "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"qensemble ensemble: error: {shown or message}; lower the node counts\n"
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_outputs_match_the_identity_manifest(self):

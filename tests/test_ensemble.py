@@ -8,18 +8,15 @@ from numpy.testing import assert_allclose
 from scipy import integrate as sci
 
 from qensemble.ensemble import (
-    EnsembleAmplitude,
     KineticConvention,
     KRange,
     ParticleModel,
-    PotentialSpec,
     Regime,
     allowed_k_range,
     apply_retarding_filter,
     collapse_fraction,
     flat_norm_deviation,
     free_wavefunction,
-    member_amplitude,
     parseval_norm,
     potential_wavefunction,
     uncertainty_product,
@@ -33,6 +30,12 @@ class TestParticleModel:
         kwargs = {"mass": 1.0, "total_energy": 1.0, field: 0.0}
         with pytest.raises(ValueError):
             ParticleModel(**kwargs)
+
+    def test_flat_amplitude_is_root_mass(self):
+        # mass 4 puts the free bound at k = 2 and the flat value at 2
+        p = ParticleModel(mass=4.0)
+        assert p.flat_amplitude == 2.0 == allowed_k_range(p, 0.0).k_hi
+        assert ParticleModel(mass=2.0).flat_amplitude == math.sqrt(2.0)
 
 
 class TestAllowedKRange:
@@ -77,47 +80,12 @@ class TestKRange:
             KRange(1.0, 0.5)
 
 
-class TestAmplitude:
-    def test_indicator_with_tolerant_edges(self):
-        # mass 4 puts the free bound at k = 2 and the flat value at 2
-        p = ParticleModel(mass=4.0)
-        amp = member_amplitude(p, allowed_k_range(p, 0.0))
-        k = np.array([-0.1, 0.0, 1.0, 2.0, 2.1])
-        vals = amp(k)
-        assert_allclose(vals.real, [0.0, 2.0, 2.0, 2.0, 0.0])
-        assert amp.flat_value == 2.0
-
-    def test_custom_range(self):
-        amp = member_amplitude(ParticleModel(), KRange(0.5, 1.0))
-        assert amp(np.array([0.4]))[0] == 0.0
-        assert amp(np.array([0.75]))[0] == 1.0
-
-    def test_rejects_nonpositive_mass(self):
-        with pytest.raises(ValueError):
-            EnsembleAmplitude(norm_mass=0.0, k_range=KRange(0.0, 1.0))
-
-
-class TestPotentialSpec:
-    def test_constant(self):
-        spec = PotentialSpec.constant(2.5)
-        assert_allclose(spec(np.array([-1.0, 0.0, 3.0])), 2.5)
-
-    def test_piecewise_regions(self):
-        spec = PotentialSpec.piecewise_constant([-1.0, 1.0], [0.0, -4.0, 0.0])
-        assert_allclose(spec(np.array([-2.0, 0.0, 2.0])), [0.0, -4.0, 0.0])
-
-    def test_rejects_nonfinite_values(self):
-        spec = PotentialSpec(lambda x: np.full_like(x, np.nan))
-        with pytest.raises(ValueError):
-            spec(np.array([0.0]))
-
-
 class TestWavefunctions:
     def test_zero_potential_reduces_to_free(self):
         p = ParticleModel()
         grid = Grid1D(0.0, 6.0, 121)
         free = free_wavefunction(p, grid)
-        gated = potential_wavefunction(p, PotentialSpec.constant(0.0), grid)
+        gated = potential_wavefunction(p, 0.0, grid)
         assert np.array_equal(free.values, gated.values)
 
     @pytest.mark.parametrize("r", [0.5, 2.0])
@@ -133,37 +101,40 @@ class TestWavefunctions:
     def test_attractive_region_grows_amplitude(self):
         p = ParticleModel()
         grid = Grid1D(0.0, 1.0, 2)
-        deep = potential_wavefunction(p, PotentialSpec.constant(-3.0), grid)
-        free = potential_wavefunction(p, PotentialSpec.constant(0.0), grid)
+        deep = potential_wavefunction(p, -3.0, grid)
+        free = potential_wavefunction(p, 0.0, grid)
         assert abs(deep.values[0]) > abs(free.values[0])
 
     def test_barrier_region_decays(self):
         p = ParticleModel()
         grid = Grid1D(0.1, 4.0, 40)
-        psi = potential_wavefunction(p, PotentialSpec.constant(3.0), grid)
+        psi = potential_wavefunction(p, 3.0, grid)
         assert np.all(psi.values.real > 0.0)
         assert np.all(np.diff(psi.values.real) < 0.0)
         assert np.abs(psi.values.imag).max() <= 1e-12
 
-    def test_piecewise_potential_with_repeated_value(self):
-        # V = 0 holds on two disjoint runs around a barrier and a well, so
-        # each run is synthesized on its own; compare every node against a
-        # per-node dense sum
-        p = ParticleModel()
-        pot = PotentialSpec.piecewise_constant([1.0, 2.5, 4.0], [0.0, 3.0, 0.0, -2.0])
+    @pytest.mark.parametrize("v", [-2.0, 0.0, 0.5, 3.0])
+    def test_matches_dense_sums(self, v):
+        p = ParticleModel(mass=2.0)
         grid = Grid1D(0.0, 6.0, 61)
-        psi = potential_wavefunction(p, pot, grid, n_k=401)
-        ref = np.empty(grid.n, dtype=complex)
-        for j, (r, v) in enumerate(zip(grid.points(), pot(grid.points()))):
-            rng = allowed_k_range(p, float(v))
-            k, w, _ = _simpson_rule(0.0, rng.k_hi, 401)
-            w = w * k * k * member_amplitude(p, rng)(k)
-            if rng.regime is Regime.DECAYING:
-                kern = np.exp(-k * r)
-            else:
-                kern = np.sinc(k * r / np.pi)
-            ref[j] = 4.0 * np.pi * (2.0 * np.pi) ** -1.5 * np.dot(w, kern)
+        psi = potential_wavefunction(p, v, grid, n_k=401)
+        rng = allowed_k_range(p, v)
+        k, w, _ = _simpson_rule(0.0, rng.k_hi, 401)
+        r = grid.points()[:, None]
+        kern = np.exp(-k * r) if rng.regime is Regime.DECAYING else np.sinc(k * r / np.pi)
+        ref = 4.0 * np.pi * (2.0 * np.pi) ** -1.5 * math.sqrt(2.0) * (kern @ (w * k * k))
         assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite_potential(self, v):
+        with pytest.raises(ValueError, match="finite"):
+            potential_wavefunction(ParticleModel(), v, Grid1D(0.0, 1.0, 5))
+
+    def test_exhausted_budget_gives_exact_zeros(self):
+        p = ParticleModel(total_energy=1.5)
+        psi = potential_wavefunction(p, 1.5, Grid1D(0.0, 4.0, 41))
+        assert psi.values.dtype == np.complex128
+        assert np.all(psi.values == 0.0)
 
     def test_density_is_squared_modulus(self):
         p = ParticleModel()
