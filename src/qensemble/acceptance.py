@@ -30,7 +30,7 @@ from .ensemble import (
     potential_wavefunction,
     uncertainty_product,
 )
-from .numerics import Grid1D, KBall, SingleMode, integrate_ball, integrate_real
+from .numerics import Grid1D, SingleMode, _simpson_rule, integrate_real, integrate_weighted
 from .optics import (
     EraserStage,
     MZConfig,
@@ -92,11 +92,10 @@ def check_quadrature_rules() -> tuple[bool, str]:
     err_odd = abs(integrate_real(np.sin(x_odd), x_odd[1] - x_odd[0]) - 2.0)
     x_even = np.linspace(0.0, np.pi, 1000)
     err_even = abs(integrate_real(np.sin(x_even), x_even[1] - x_even[0]) - 2.0)
-    ball = KBall(2.0)
-    k = ball.nodes()
-    err_ball = abs(integrate_ball(k.astype(np.complex128), ball) - 16.0 * np.pi) / (16.0 * np.pi)
-    worst = max(err_odd, err_even, float(err_ball))
-    detail = f"odd-grid error {err_odd:.3e}, even-grid error {err_even:.3e}, ball error {float(err_ball):.3e}"
+    k, w, _ = _simpson_rule(0.0, 2.0, 513)
+    err_ball = abs(4.0 * np.pi * integrate_weighted(k * k * k, w) - 16.0 * np.pi) / (16.0 * np.pi)
+    worst = max(err_odd, err_even, err_ball)
+    detail = f"odd-grid error {err_odd:.3e}, even-grid error {err_even:.3e}, ball error {err_ball:.3e}"
     return worst <= 1e-10, detail
 
 
@@ -462,7 +461,7 @@ def check_uncertainty_floor() -> tuple[bool, str]:
                 out += c * np.exp(-((k - mu) ** 2) / (2.0 * s * s))
             return out
 
-        lowest = min(lowest, uncertainty_product(spectrum, (-20.0, 20.0), n_k=1601, n_x=3001))
+        lowest = min(lowest, uncertainty_product(spectrum, (-20.0, 20.0), n_k=1601))
     ok = gauss_err <= 1e-3 and lowest >= 0.5 - 1e-6
     detail = (
         f"gaussian product deviates {gauss_err:.3e} from 0.5, "

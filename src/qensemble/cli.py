@@ -33,7 +33,7 @@ from .ensemble import (
     collapse_fraction,
     potential_wavefunction,
 )
-from .numerics import ComplexField, Grid1D, KBall, SingleMode, integrate_real, radial_superposition
+from .numerics import Grid1D, KBall, SingleMode, integrate_real, radial_superposition
 from .optics import (
     DEFAULT_SEED,
     MZConfig,
@@ -448,7 +448,7 @@ def _run_collapse(params: dict, seed: int) -> ScenarioResult:
     res = ScenarioResult(geometry="3d_radial")
 
     def flat_field(k_hi: float) -> np.ndarray:
-        return ComplexField(grid, radial_superposition(p.flat_amplitude, KBall(k_hi, n_k), grid.points())).values
+        return radial_superposition(p.flat_amplitude, KBall(k_hi, n_k), grid.points())
 
     # the surviving band [k1, k0] is the full ball minus the blocked core,
     # which keeps both quadratures free of indicator discontinuities
@@ -496,6 +496,11 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
     res.outputs["excluded_node_count"] = _q(profile.excluded_node_count, "count")
     k1 = np.linspace(0.0, cfg.k0, 102)[1:-1]
     resonant = resonant_members(cfg, k1, tol)
+    if resonant.all():
+        raise _CliError(
+            f"resonance_tol = {tol:g} skips every one of the {k1.size} member-pairing oracle samples, "
+            "leaving that oracle nothing to check; lower resonance_tol"
+        )
     res.oracle_deltas["member_pairing"] = member_pairing(cfg, pair_member(cfg, k1[~resonant], tol))
     res.oracle_deltas["density_parity"] = density_parity(cfg, profile, n_k, tol)
     res.oracle_deltas["density_norm"] = (

@@ -28,7 +28,6 @@ from .numerics import (
     KBall,
     SingleMode,
     _simpson_rule,
-    _synthesize,
     integrate_weighted,
     radial_superposition,
 )
@@ -235,30 +234,31 @@ def collapse_fraction(p: ParticleModel, filtered: FilteredEnsemble, n_k: int = 2
     return shell(after) / total
 
 
-def uncertainty_product(
-    amplitude,
-    interval,
-    n_k: int = 2001,
-    n_x: int = 4001,
-) -> float:
+def uncertainty_product(amplitude, interval, n_k: int = 2001) -> float:
     """Position-momentum uncertainty product of a spectral amplitude.
 
     Builds the momentum density |chi(k)|^2 on the interval and the position
-    density of psi(x) = (2 pi)^(-1/2) int chi(k) exp(ikx) dk, synthesized
-    from the same samples of chi, takes second moments of each, and
-    returns Delta X * Delta P (so a Gaussian spectrum gives 0.5).
+    density of psi(x) = (2 pi)^(-1/2) int chi(k) exp(ikx) dk from the same
+    samples of chi, takes second moments of each, and returns
+    Delta X * Delta P (so a Gaussian spectrum gives 0.5).
+
+    The k moments take the Simpson weights.  The x moments are two plain
+    sums over the N = n_k - 1 nodes of one period 2 pi / dk: there the DFT
+    of the samples, the last node being the first one's periodic image, is
+    psi up to a constant and a phase.  Both rest on the spectrum vanishing
+    at the interval ends and on psi fitting the period, so a spectrum whose
+    modulus at either end exceeds 1e-8 of its peak (Delta X is unbounded),
+    or whose position density at the period's end exceeds 1e-16 of its peak
+    (raise n_k), raises ValueError naming the value.
 
     Parameters
     ----------
     amplitude : callable
         chi(k), accepting an ndarray of wavenumbers.
     interval : (k_lo, k_hi)
-        Spectral support used for the moments and the synthesis.
-    n_k, n_x : int
-        Quadrature nodes in k and x.  The position window is
-        [-40 / sigma_k, 40 / sigma_k]; spectra with slowly decaying
-        position tails (sharp spectral edges) make Delta X grow with it,
-        which only strengthens the lower bound.
+        Spectral support used for the moments.
+    n_k : int
+        Quadrature nodes in k, rounded up to odd.
     """
     if isinstance(amplitude, SingleMode):
         raise ValueError("single-mode spectra have no finite position spread")
@@ -269,22 +269,33 @@ def uncertainty_product(
     amp = np.asarray(amplitude(k), dtype=np.complex128)
     if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
         raise ValueError("spectrum must be finite on the interval")
-    rho_k = np.abs(amp) ** 2
+    modulus = np.abs(amp)
+    rho_k = modulus**2
     norm_k = integrate_weighted(rho_k, w)
     if not np.isfinite(norm_k) or norm_k <= 0.0:
         raise ValueError("spectrum is not normalizable on the interval")
+    peak = modulus.max()
+    end = 0 if modulus[0] >= modulus[-1] else -1
+    if modulus[end] > 1e-8 * peak:
+        raise ValueError(
+            f"the spectrum's modulus at the interval end k = {k[end]:g} is {modulus[end] / peak:.3g} "
+            "of its peak, above 1e-8, so Delta X is unbounded; take an interval on which it vanishes"
+        )
     mean_k = integrate_weighted(rho_k * k, w) / norm_k
     var_k = integrate_weighted(rho_k * (k - mean_k) ** 2, w) / norm_k
     if var_k <= 0.0:
         raise ValueError("spectrum second moment vanishes")
-    sigma_k = float(np.sqrt(var_k))
 
-    half = 40.0 / sigma_k
-    x, w_x, _ = _simpson_rule(-half, half, n_x)
-    rho_x = np.abs(TWO_PI**-0.5 * _synthesize(w * amp, lo, dk, x)) ** 2
-    norm_x = integrate_weighted(rho_x, w_x)
-    if not np.isfinite(norm_x) or norm_x <= 0.0:
-        raise ValueError("synthesized density is not normalizable")
-    mean_x = integrate_weighted(rho_x * x, w_x) / norm_x
-    var_x = integrate_weighted(rho_x * (x - mean_x) ** 2, w_x) / norm_x
+    # numpy's DFT kernel is exp(-ikx), so its node j is psi at x = -2 pi fftfreq(N, dk)_j
+    rho_x = np.abs(np.fft.fft(amp[:-1] / peak)) ** 2
+    x = -TWO_PI * np.fft.fftfreq(rho_x.size, dk)
+    wrap = rho_x[rho_x.size // 2] / rho_x.max()
+    if wrap > 1e-16:
+        raise ValueError(
+            f"the position density at the period's end x = {x[rho_x.size // 2]:g} is {wrap:.3g} of its "
+            f"peak, above 1e-16, so psi does not fit the period; raise n_k = {n_k}"
+        )
+    norm_x = np.sum(rho_x)
+    mean_x = np.sum(rho_x * x) / norm_x
+    var_x = np.sum(rho_x * (x - mean_x) ** 2) / norm_x
     return float(np.sqrt(var_x * var_k))

@@ -71,9 +71,6 @@ class KBall:
         if self.n_k < 2:
             raise ValueError("ball quadrature needs at least 2 nodes")
 
-    def nodes(self) -> ArrayF:
-        return np.linspace(0.0, self.k_max, _as_odd(self.n_k))
-
 
 @dataclass(frozen=True)
 class ComplexField:
@@ -309,24 +306,6 @@ def integrate_weighted(values: ArrayF, weights: ArrayF) -> float:
     if not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
     return float(np.dot(weights, vals))
-
-
-def integrate_ball(radial_samples: ArrayC, ball: KBall) -> complex:
-    """Integrate f over the ball |k| <= k_max for isotropic f.
-
-    The samples are f(k) on the ball's radial nodes; the result is
-    4*pi * integral of f(k) k^2 dk from 0 to k_max.
-    """
-    k = ball.nodes()
-    vals = np.asarray(radial_samples, dtype=np.complex128)
-    if vals.shape != k.shape:
-        raise ValueError("radial samples must match the ball's node count")
-    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-        raise ValueError("radial samples must be finite")
-    w = _simpson_weights(k.size, k[1] - k[0]) if ball.k_max > 0.0 else None
-    if w is None:
-        return 0.0 + 0.0j
-    return complex(4.0 * np.pi * np.dot(w, vals * k * k))
 
 
 def radial_superposition(amplitude: float, ball: KBall, r, kernel: str = "oscillatory") -> ArrayF:

@@ -187,6 +187,7 @@ class TestValidationPaths:
                 ["eraser", "--set", "e_amp=1e-162", "--set", "b_amp=1e-162"],
                 "field-route intensities vanish identically for e_amp = 1e-162, b_amp = 1e-162, c = 1",
             ),
+            (["well", "--set", "resonance_tol=1"], "resonance_tol = 1 skips every one of the 100 member-pairing"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):

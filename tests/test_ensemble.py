@@ -207,9 +207,25 @@ class TestUncertaintyProduct:
         up = uncertainty_product(lambda k: np.exp(-k * k / 2.0), (-20.0, 20.0))
         assert abs(up - 0.5) <= 1e-9
 
-    def test_flat_band_value(self):
-        up = uncertainty_product(lambda k: np.ones_like(k, dtype=complex), (0.0, 1.0))
-        assert_allclose(up, 2.714330065919865, rtol=0.0, atol=1e-6)
+    def test_rejects_flat_band_edge(self):
+        # a spectrum that does not vanish at the interval ends has an unbounded Delta X
+        with pytest.raises(ValueError, match=r"at the interval end k = 0 is 1 of its peak"):
+            uncertainty_product(lambda k: np.ones_like(k, dtype=complex), (0.0, 1.0))
+
+    def test_shifted_gaussian_saturates_floor(self):
+        # psi centred at x = 100, inside the period 2 pi / dk = 314 of the default nodes
+        up = uncertainty_product(lambda k: np.exp(-k * k / 2.0) * np.exp(-100j * k), (-20.0, 20.0))
+        assert abs(up - 0.5) <= 1e-12
+
+    def test_rejects_psi_wider_than_the_period(self):
+        # psi centred at x = 155 reaches the period's end x = 157.08 and would alias
+        with pytest.raises(ValueError, match=r"period's end x = 157\.08 is .* raise n_k = 2001"):
+            uncertainty_product(lambda k: np.exp(-k * k / 2.0) * np.exp(-155j * k), (-20.0, 20.0))
+
+    def test_large_spectrum_values_leave_product(self):
+        # |psi|^2 of the raw samples would overflow: the peak is 1e153 and n_k - 1 = 2000 terms add up
+        up = uncertainty_product(lambda k: 1e153 * np.exp(-k * k / 2.0), (-20.0, 20.0))
+        assert abs(up - 0.5) <= 1e-12
 
     def test_width_scaling_leaves_product(self):
         narrow = uncertainty_product(lambda k: np.exp(-k * k * 4.0**2 / 2.0), (-5.0, 5.0))

@@ -22,7 +22,6 @@ from qensemble.numerics import (
     _simpson_rule,
     _smooth_length,
     _synthesize,
-    integrate_ball,
     integrate_real,
     integrate_weighted,
     radial_superposition,
@@ -55,8 +54,9 @@ class TestGrid1D:
 
 class TestKBall:
     def test_nodes_are_odd_and_span(self):
+        # the ball's radial nodes are the rule's, as radial_superposition takes them
         ball = KBall(2.0, n_k=10)
-        nodes = ball.nodes()
+        nodes, _, _ = _simpson_rule(0.0, ball.k_max, ball.n_k)
         assert nodes.size % 2 == 1
         assert nodes[0] == 0.0 and nodes[-1] == 2.0
 
@@ -152,19 +152,18 @@ _WELL = squarewell.WellConfig(ensemble.ParticleModel(total_energy=1.5), v0=4.0, 
 
 
 class TestIntegrateBall:
+    """4 pi int_0^k_max f(k) k^2 dk on the rule's nodes, through integrate_weighted."""
+
     def test_linear_radial_profile(self):
         # integrand k * k^2 is cubic, which the rule integrates exactly
-        ball = KBall(2.0)
-        value = integrate_ball(ball.nodes().astype(complex), ball)
-        assert_allclose(value.real, 16.0 * np.pi, rtol=1e-13)
-        assert value.imag == 0.0
+        k, w, _ = _simpson_rule(0.0, 2.0, 513)
+        assert_allclose(4.0 * np.pi * integrate_weighted(k * k * k, w), 16.0 * np.pi, rtol=1e-13)
 
     def test_against_scipy_quad(self):
-        ball = KBall(1.5, n_k=801)
-        k = ball.nodes()
-        value = integrate_ball(np.exp(-(k**2)).astype(complex), ball)
+        k, w, _ = _simpson_rule(0.0, 1.5, 801)
+        value = 4.0 * np.pi * integrate_weighted(np.exp(-(k**2)) * k * k, w)
         ref, _ = sci.quad(lambda q: 4.0 * np.pi * q * q * np.exp(-(q**2)), 0.0, 1.5)
-        assert_allclose(value.real, ref, rtol=1e-10)
+        assert_allclose(value, ref, rtol=1e-10)
 
 
 class TestRadialSuperposition:
@@ -272,7 +271,7 @@ class TestRadialProfiles:
     @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-12, 0.05, 0.2, 3.0])
     def test_scalar_radius_matches_sinc_sum(self, r):
         ball = KBall(2.5, 801)
-        k = ball.nodes()
+        k, _, _ = _simpson_rule(0.0, ball.k_max, ball.n_k)
         amp = 0.7
         w = 4.0 * np.pi * TWO_PI**-1.5 * odd_simpson_weights(k) * k * k * amp
         ref = np.dot(w, np.sinc(k * r / np.pi))
@@ -425,7 +424,7 @@ class TestDecaySum:
 
 
 def line_synthesis(amplitude, lo, hi, x, n_k=2001):
-    """(2 pi)^(-1/2) int_lo^hi chi(k) exp(i k x) dk on the Simpson rule, as uncertainty_product builds it."""
+    """(2 pi)^(-1/2) int_lo^hi chi(k) exp(i k x) dk on the Simpson rule, through the chirp-z synthesis."""
     k, w, dk = _simpson_rule(lo, hi, n_k)
     return TWO_PI**-0.5 * _synthesize(w * amplitude(k), lo, dk, x)
 
@@ -570,7 +569,7 @@ class TestSynthesize:
     @pytest.mark.parametrize(
         "n_x,x_lo,x_hi,n_k,k_lo,k_hi",
         [
-            # uncertainty_floor's random spectra, packet_norm_transport at t = 2, a radial sum
+            # a 3001 x 1601 line band, packet_norm_transport at t = 2, a radial sum
             (3001, -30.0, 30.0, 1601, -20.0, 20.0),
             (4001, -30.0, 50.0, 6193, -3.0, 13.0),
             (601, 0.0, 6.0, 2001, 0.0, 1.5),
