@@ -26,11 +26,18 @@ from .ensemble import (
     allowed_k_range,
     apply_retarding_filter,
     collapse_fraction,
-    free_wavefunction,
     potential_wavefunction,
     uncertainty_product,
 )
-from .numerics import Grid1D, SingleMode, _simpson_rule, integrate_real, integrate_weighted
+from .numerics import (
+    Grid1D,
+    KBall,
+    SingleMode,
+    _simpson_rule,
+    integrate_real,
+    integrate_weighted,
+    radial_superposition,
+)
 from .optics import (
     EraserStage,
     MZConfig,
@@ -103,9 +110,8 @@ def check_zero_potential_reduction() -> tuple[bool, str]:
     """A vanishing potential reproduces the free construction bit for bit."""
     p = ParticleModel()
     grid = Grid1D(0.0, 8.0, 161)
-    free = free_wavefunction(p, grid)
-    gated = potential_wavefunction(p, 0.0, grid)
-    same = bool(np.array_equal(free.values, gated.values))
+    free = radial_superposition(p.flat_amplitude, KBall(allowed_k_range(p, 0.0).k_hi, 801), grid.points())
+    same = bool(np.array_equal(free, potential_wavefunction(p, 0.0, grid)))
     detail = "identical arrays" if same else "arrays differ"
     return same, detail
 
@@ -115,12 +121,10 @@ def check_decaying_tail_shape() -> tuple[bool, str]:
     p = ParticleModel()
     kr = allowed_k_range(p, 3.0)
     grid = Grid1D(0.1, 4.0, 101)
-    psi = potential_wavefunction(p, 3.0, grid)
-    vals = psi.values
+    vals = potential_wavefunction(p, 3.0, grid)
     imag_max = float(np.abs(vals.imag).max())
-    real = vals.real
-    positive = bool(np.all(real > 0.0))
-    decreasing = bool(np.all(np.diff(real) < 0.0))
+    positive = bool(np.all(vals > 0.0))
+    decreasing = bool(np.all(np.diff(vals) < 0.0))
     ok = kr.regime is Regime.DECAYING and imag_max <= 1e-12 and positive and decreasing
     detail = (
         f"regime {kr.regime.name.lower()}, max imaginary part {imag_max:.3e}, "
@@ -163,8 +167,8 @@ def check_bound_state_normalization() -> tuple[bool, str]:
             hi = mid
     k1 = 0.5 * (lo + hi)
     member = pair_member(cfg, k1)
-    on_ratio = normalization_audit(member, cfg).ratio
-    off_ratio = normalization_audit(pair_member(cfg, 0.5), cfg).ratio
+    on_ratio = normalization_audit(member, cfg)
+    off_ratio = normalization_audit(pair_member(cfg, 0.5), cfg)
     ok = (
         is_bound_state_member(cfg, k1)
         and abs(on_ratio - 1.0) <= 1e-6
@@ -182,8 +186,8 @@ def check_packet_norm_transport() -> tuple[bool, str]:
     packet = GaussianPacket(b=1.0, k0=5.0)
     grid = Grid1D(-30.0, 50.0, 4001)
     x = grid.points()
-    dens0 = propagate(packet, 0.0, grid).density()
-    dens2 = propagate(packet, 2.0, grid).density()
+    dens0 = np.abs(propagate(packet, 0.0, grid)) ** 2
+    dens2 = np.abs(propagate(packet, 2.0, grid)) ** 2
     norm0 = integrate_real(dens0, grid.spacing)
     norm2 = integrate_real(dens2, grid.spacing)
     drift = abs(norm2 / norm0 - 1.0)
@@ -290,7 +294,7 @@ def check_single_mode_constancy() -> tuple[bool, str]:
     grid = Grid1D(-20.0, 20.0, 801)
     worst = 0.0
     for t in (0.0, 1.0, 5.0):
-        dens = propagate(mode, t, grid).density()
+        dens = np.abs(propagate(mode, t, grid)) ** 2
         worst = max(worst, float(np.abs(dens - 1.0).max()))
     detail = f"max density deviation from 1 is {worst:.3e}"
     return worst <= 1e-14, detail
@@ -311,7 +315,7 @@ def check_gaussian_spreading() -> tuple[bool, str]:
         sigma = packet.b * math.sqrt((1.0 + tau * tau) / 2.0)
         center = packet.k0 * t
         grid = Grid1D(center - 4.0 * sigma, center + 4.0 * sigma, 801)
-        num = propagate(packet, t, grid).density()
+        num = np.abs(propagate(packet, t, grid)) ** 2
         runs.append((t, grid.points(), num))
         alt = closed_form_density(packet, grid.points(), t, mode="model")
         worst_model = max(worst_model, float(np.abs(alt - num).max() / num.max()))

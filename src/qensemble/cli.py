@@ -365,13 +365,13 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
         kr = _band(p, v, convention, f" at potential {v:g}")
         tag = f"v={v:g}"
         psi = potential_wavefunction(p, v, grid, n_k=params["n_k"], convention=convention)
-        res.columns.append((f"rho[{tag}]", "1/length^3", psi.density()))
+        res.columns.append((f"rho[{tag}]", "1/length^3", np.abs(psi) ** 2))
         res.outputs[f"k_hi[{tag}]"] = _q(kr.k_hi, "1/length")
         res.outputs[f"regime[{tag}]"] = kr.regime.name.lower()
         if kr.is_empty:
             res.notes.append(f"potential {v:g} exhausts the energy budget; the member range is empty")
         elif origin_included:
-            measured = abs(psi.values[0])
+            measured = abs(psi[0])
             expected = _origin_amplitude(p, kr.k_hi)
             res.oracle_deltas[f"origin_amplitude[{tag}]"] = (
                 abs(measured - expected) / expected,
@@ -397,7 +397,7 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
     kinds = ("gaussian", "single_mode") if params["packet"] == "both" else (params["packet"],)
     if "gaussian" in kinds:
         packet = GaussianPacket(b=params["b"], k0=params["k0"])
-        runs = [(t, x, propagate(packet, t, grid, n_k=n_k).density()) for t in times]
+        runs = [(t, x, np.abs(propagate(packet, t, grid, n_k=n_k)) ** 2) for t in times]
         res.columns += [(f"density_gaussian[t={t:g}]", "1/length", dens) for t, _, dens in runs]
         res.notes.append(
             "gaussian oracle holds nodes at or above 1e-8 of the packet's peak closed-form density"
@@ -409,7 +409,7 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
         mode = SingleMode(k0=params["k0"])
         worst = 0.0
         for t in times:
-            dens = propagate(mode, t, grid).density()
+            dens = np.abs(propagate(mode, t, grid)) ** 2
             worst = max(worst, float(np.abs(dens - 1.0).max()))
             res.columns.append((f"density_single_mode[t={t:g}]", "1/length", np.ones(x.size)))
         res.oracle_deltas["single_mode_unit_density"] = (worst, 1e-12, "absolute")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .numerics import (
     TWO_PI,
-    ComplexField,
+    ArrayF,
     Grid1D,
     KBall,
     SingleMode,
@@ -131,30 +131,21 @@ def allowed_k_range(
     return KRange(0.0, 0.0, Regime.OSCILLATORY)
 
 
-def free_wavefunction(p: ParticleModel, grid: Grid1D, n_k: int = 801) -> ComplexField:
-    """Isotropic free-particle ensemble wavefunction on a radial grid.
-
-    psi(r) = (2 pi)^{-3/2} * 4 pi * int_0^{k0} k^2 sqrt(m) sin(kr)/(kr) dk
-    with k0 the free oscillatory bound.
-    """
-    ball = KBall(allowed_k_range(p, 0.0).k_hi, n_k)
-    return ComplexField(grid, radial_superposition(p.flat_amplitude, ball, grid.points(), kernel="oscillatory"))
-
-
 def potential_wavefunction(
     p: ParticleModel,
     potential: float,
     grid: Grid1D,
     n_k: int = 801,
     convention: KineticConvention = KineticConvention.SINGLE,
-) -> ComplexField:
-    """Ensemble wavefunction at a constant potential on a radial grid.
+) -> ArrayF:
+    """Real ensemble wavefunction at a constant potential, sampled at the radial grid's nodes.
 
     The members fill the range allowed_k_range gives at the potential: the
     oscillatory kernel sin(kr)/(kr) where E_T > V, the decaying kernel
     exp(-kr) where E_T < V, and no member, so psi = 0, where E_T = V.  A
     non-finite potential, or one whose density overflows a double, raises
-    ValueError naming it.
+    ValueError naming it; a grid too wide for the chirp-z phases raises
+    _synthesize's, naming the grid.
     """
     rng = allowed_k_range(p, potential, convention=convention)
     kernel = "oscillatory" if rng.regime is Regime.OSCILLATORY else "decaying"
@@ -166,7 +157,7 @@ def potential_wavefunction(
             f"the density at potential {potential:g} overflows: its {rng.regime.name.lower()} "
             f"band reaches k_hi = {rng.k_hi:g}"
         )
-    return ComplexField(grid, vals)
+    return vals
 
 
 def parseval_norm(p: ParticleModel, k: float) -> float:

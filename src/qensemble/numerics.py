@@ -73,25 +73,6 @@ class KBall:
 
 
 @dataclass(frozen=True)
-class ComplexField:
-    """Complex samples of a wavefunction (or amplitude) over a Grid1D."""
-
-    grid: Grid1D
-    values: ArrayC
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n,):
-            raise ValueError("field length must match the grid")
-        if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
-            raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", vals)
-
-    def density(self) -> ArrayF:
-        return np.abs(self.values) ** 2
-
-
-@dataclass(frozen=True)
 class SingleMode:
     """Symbolic single retained mode at wavenumber k0.
 
@@ -204,7 +185,10 @@ def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
 
     x0 and dx come from the ends of x, which must be uniform to 1e-12
     relative (a scalar or one node counts as uniform); a non-uniform x
-    raises ValueError.
+    raises ValueError.  So does an x span and dk whose lag chirp or linear
+    phases leave the doubles, with one message naming both, instead of a
+    sum over NaN phases.  The weights are not checked: a caller whose
+    weights overflow names its own cause.
 
     With u = 2^-53, N = n_x + n_k - 1 and alpha = |dx dk|, the sum at x_j
     is within
@@ -234,15 +218,21 @@ def _synthesize(wts: ArrayC, k_lo: float, dk: float, x) -> ArrayC:
     half_alpha = 0.5 * dx * dk
     # the lag chirp is even in the lag: computed for lags >= 0, mirrored for the rest
     lag = np.arange(max(n_x, n_k))
-    lag_chirp = _cis(-half_alpha * (lag * lag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lag_chirp = _cis(-half_alpha * (lag * lag))
+        in_phase = _linear_phase(x0 * dk, n_k)
+        post = _cis(x0 * k_lo) * _linear_phase(dx * k_lo, n_x)
+    if not all(np.isfinite(phases).all() for phases in (lag_chirp, in_phase, post)):
+        raise ValueError(
+            f"the chirp-z phases overflow on the grid {x0:g} .. {x_arr[-1]:g} at dk = {dk:g}; narrow the grid"
+        )
     size = _smooth_length(n_x + n_k - 1)
-    pre = w * np.conj(lag_chirp[:n_k]) * _linear_phase(x0 * dk, n_k)
+    pre = w * np.conj(lag_chirp[:n_k]) * in_phase
     # circular layout: lags 0..n_x-1 at the front, lags -(n_k-1)..-1 at the back
     chirp = np.zeros(size, dtype=np.complex128)
     chirp[:n_x] = lag_chirp[:n_x]
     chirp[size - n_k + 1 :] = lag_chirp[n_k - 1 : 0 : -1]
     conv = np.fft.ifft(np.fft.fft(pre, size) * np.fft.fft(chirp))[:n_x]
-    post = _cis(x0 * k_lo) * _linear_phase(dx * k_lo, n_x)
     return post * np.conj(lag_chirp[:n_x]) * conv
 
 

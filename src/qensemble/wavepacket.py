@@ -22,8 +22,8 @@ from numpy.typing import NDArray
 
 from .ensemble import ParticleModel
 from .numerics import (
+    ArrayC,
     ArrayF,
-    ComplexField,
     Grid1D,
     SingleMode,
     _as_odd,
@@ -111,8 +111,8 @@ def propagate(
     t: float,
     grid: Grid1D,
     n_k: int | None = None,
-) -> ComplexField:
-    """Free evolution of an initial packet, sampled on a grid.
+) -> ArrayC:
+    """Free evolution of an initial packet, sampled at the grid's nodes.
 
     A single mode is exact: exp(i (k0 x - omega(k0) t)) with unit modulus
     at every node and every time.  A Gaussian packet is synthesized as
@@ -127,7 +127,7 @@ def propagate(
             raise ValueError(
                 f"single-mode phase k0 x - omega(k0) t overflows for k0 = {packet.k0:g}, t = {t:g}"
             )
-        return ComplexField(grid, _cis(phase))
+        return _cis(phase)
     lo, hi = spectral_window(packet)
     n = n_k if n_k is not None else _auto_nodes(packet, t, grid)
     k, w, dk = _simpson_rule(lo, hi, n)
@@ -135,7 +135,7 @@ def propagate(
         turn = _cis(-omega(k) * t)
     if not np.isfinite(turn).all():
         raise ValueError(f"phase omega(k) t overflows for k0 = {packet.k0:g}, b = {packet.b:g}, t = {t:g}")
-    return ComplexField(grid, (2.0 * np.pi) ** -0.5 * _synthesize(w * packet.spectrum(k) * turn, lo, dk, x))
+    return (2.0 * np.pi) ** -0.5 * _synthesize(w * packet.spectrum(k) * turn, lo, dk, x)
 
 
 def closed_form_density(

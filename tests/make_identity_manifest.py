@@ -86,6 +86,7 @@ CASES = [
     _scenario("well", "x_min=-400", "x_max=400", "n_x=8001"),
     _scenario("ensemble", "potentials=1.0,3.0"),
     _scenario("collapse", "e_rfa=2"),
+    _scenario("collapse", "r_max=8e307"),
     *_DENSE_FIGURES,
     *_LIGHT_TABLES,
     ["selftest"],

@@ -188,6 +188,13 @@ class TestValidationPaths:
                 "field-route intensities vanish identically for e_amp = 1e-162, b_amp = 1e-162, c = 1",
             ),
             (["well", "--set", "resonance_tol=1"], "resonance_tol = 1 skips every one of the 100 member-pairing"),
+            (
+                ["spread", "--set", "packet=gaussian", "--set", "x_min=-2e307", "--set", "x_max=-1e307",
+                 "--set", "n_k=4001", "--set", "times=0"],
+                "the chirp-z phases overflow on the grid -2e+307 .. -1e+307 at dk = 0.004",
+            ),
+            (["ensemble", "--set", "r_max=8e307"], "the chirp-z phases overflow on the grid 0 .. 8e+307 at dk = 0.0025"),
+            (["collapse", "--set", "r_max=8e307"], "the chirp-z phases overflow on the grid 0 .. 8e+307 at dk"),
         ],
     )
     def test_degenerate_inputs_exit_one_without_output(self, args, message, capsys, tmp_path):
@@ -252,8 +259,7 @@ class TestScenarioRuns:
     @pytest.mark.parametrize("x_max", ["25", "-2.7"])
     def test_gaussian_offset_density_exits_two(self, x_max, capsys, tmp_path, monkeypatch):
         def perturbed(*args, **kwargs):
-            field = wavepacket.propagate(*args, **kwargs)
-            return dataclasses.replace(field, values=field.values * np.sqrt(1.0 + 2e-4))
+            return wavepacket.propagate(*args, **kwargs) * np.sqrt(1.0 + 2e-4)
 
         monkeypatch.setattr(cli, "propagate", perturbed)
         argv = ["spread", "--set", "packet=gaussian", "--set", f"x_max={x_max}", "--set", "n_x=1912"]
@@ -900,7 +906,7 @@ def _text(value):
 
 # gaussian `spread` inputs at the edges of the doubles: a closed-form exponent past the largest double,
 # a grid with no density to compare, a spectrum squaring b or 8/b past it, linspace nodes past it, an
-# overflowing broadening factor and an overflowing phase omega(k) t
+# overflowing broadening factor, an overflowing phase omega(k) t and a grid too wide for the chirp-z phases
 _GAUSSIAN_SPREAD_EXAMPLES = (
     {"x_min": -9.114878840792833e245, "x_max": -4.908692990719707e-120, "n_k": 108},
     {"x_min": 2.00001, "b": 0.003549626833218614, "n_k": 2001},
@@ -909,15 +915,19 @@ _GAUSSIAN_SPREAD_EXAMPLES = (
     {"x_min": 3.1107461721572103e-111, "x_max": 1.7976931348623157e308, "n_x": 213},
     {"b": 10.0, "n_k": 113, "times": [0.0, -8.774239584959601e272]},
     {"b": 1.5636165044757184e-150, "k0": 2.0445899274311264e16, "n_k": 235, "times": [-1.7261142292378744e16]},
+    {"x_min": -2e307, "x_max": -1e307, "n_k": 4001, "times": [0.0]},
 )
 
 # per (scenario, fixed packet): gaussian `spread` as above; `collapse` bands whose origin density
-# overflows, at the edge of squaring and deep in the series moments
+# overflows, at the edge of squaring and deep in the series moments; and radial grids too wide for
+# the chirp-z phases
 _EXAMPLES = {
     ("spread", "gaussian"): _GAUSSIAN_SPREAD_EXAMPLES,
+    ("ensemble", None): ({"r_max": 8e307},),
     ("collapse", None): (
         {"e_total": 6.823323883333878e102},
         {"convention": "double", "n_k": 1059, "e_total": 1.943837135220142e222},
+        {"r_max": 8e307},
     ),
 }
 

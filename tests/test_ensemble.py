@@ -16,12 +16,12 @@ from qensemble.ensemble import (
     apply_retarding_filter,
     collapse_fraction,
     flat_norm_deviation,
-    free_wavefunction,
     parseval_norm,
     potential_wavefunction,
     uncertainty_product,
 )
-from qensemble.numerics import Grid1D, SingleMode, _simpson_rule
+from qensemble.numerics import Grid1D, KBall, SingleMode, _simpson_rule, radial_superposition
+from qensemble.wavepacket import GaussianPacket, propagate
 
 
 class TestParticleModel:
@@ -84,34 +84,31 @@ class TestWavefunctions:
     def test_zero_potential_reduces_to_free(self):
         p = ParticleModel()
         grid = Grid1D(0.0, 6.0, 121)
-        free = free_wavefunction(p, grid)
-        gated = potential_wavefunction(p, 0.0, grid)
-        assert np.array_equal(free.values, gated.values)
+        free = radial_superposition(p.flat_amplitude, KBall(allowed_k_range(p, 0.0).k_hi, 801), grid.points())
+        assert np.array_equal(free, potential_wavefunction(p, 0.0, grid))
 
     @pytest.mark.parametrize("r", [0.5, 2.0])
     def test_free_profile_against_quad(self, r):
         p = ParticleModel()
         grid = Grid1D(r, r + 1.0, 2)
-        psi = free_wavefunction(p, grid, n_k=2001).values[0]
+        psi = potential_wavefunction(p, 0.0, grid, n_k=2001)[0]
         ref, _ = sci.quad(lambda k: k * k * np.sin(k * r) / (k * r), 0.0, 1.0)
         ref *= 4.0 * np.pi * (2.0 * np.pi) ** -1.5
-        assert_allclose(psi.real, ref, rtol=1e-8)
-        assert abs(psi.imag) <= 1e-15
+        assert_allclose(psi, ref, rtol=1e-8)
 
     def test_attractive_region_grows_amplitude(self):
         p = ParticleModel()
         grid = Grid1D(0.0, 1.0, 2)
         deep = potential_wavefunction(p, -3.0, grid)
         free = potential_wavefunction(p, 0.0, grid)
-        assert abs(deep.values[0]) > abs(free.values[0])
+        assert abs(deep[0]) > abs(free[0])
 
     def test_barrier_region_decays(self):
         p = ParticleModel()
         grid = Grid1D(0.1, 4.0, 40)
         psi = potential_wavefunction(p, 3.0, grid)
-        assert np.all(psi.values.real > 0.0)
-        assert np.all(np.diff(psi.values.real) < 0.0)
-        assert np.abs(psi.values.imag).max() <= 1e-12
+        assert np.all(psi > 0.0)
+        assert np.all(np.diff(psi) < 0.0)
 
     @pytest.mark.parametrize("v", [-2.0, 0.0, 0.5, 3.0])
     def test_matches_dense_sums(self, v):
@@ -123,7 +120,7 @@ class TestWavefunctions:
         r = grid.points()[:, None]
         kern = np.exp(-k * r) if rng.regime is Regime.DECAYING else np.sinc(k * r / np.pi)
         ref = 4.0 * np.pi * (2.0 * np.pi) ** -1.5 * math.sqrt(2.0) * (kern @ (w * k * k))
-        assert np.abs(psi.values - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.abs(psi - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("v", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_nonfinite_potential(self, v):
@@ -133,14 +130,24 @@ class TestWavefunctions:
     def test_exhausted_budget_gives_exact_zeros(self):
         p = ParticleModel(total_energy=1.5)
         psi = potential_wavefunction(p, 1.5, Grid1D(0.0, 4.0, 41))
-        assert psi.values.dtype == np.complex128
-        assert np.all(psi.values == 0.0)
+        assert np.all(psi == 0.0)
 
-    def test_density_is_squared_modulus(self):
-        p = ParticleModel()
-        grid = Grid1D(0.0, 2.0, 9)
-        psi = free_wavefunction(p, grid)
-        assert_allclose(psi.density(), np.abs(psi.values) ** 2, rtol=0.0, atol=0.0)
+    @pytest.mark.parametrize(
+        "build,dtype",
+        [
+            (lambda grid: potential_wavefunction(ParticleModel(), -2.0, grid), np.float64),
+            (lambda grid: potential_wavefunction(ParticleModel(), 3.0, grid), np.float64),
+            (lambda grid: potential_wavefunction(ParticleModel(), 1.0, grid), np.float64),
+            (lambda grid: propagate(GaussianPacket(b=1.0, k0=2.0), 0.5, grid), np.complex128),
+            (lambda grid: propagate(SingleMode(k0=2.0), 0.5, grid), np.complex128),
+        ],
+        ids=["oscillatory", "decaying", "empty", "gaussian", "single_mode"],
+    )
+    def test_field_builders_return_plain_arrays(self, build, dtype):
+        # real radial profiles stay real; propagated packets carry their phase
+        grid = Grid1D(0.0, 4.0, 41)
+        psi = build(grid)
+        assert type(psi) is np.ndarray and psi.dtype == dtype and psi.shape == (grid.n,)
 
 
 class TestParsevalNorm:

@@ -1,6 +1,7 @@
 """Quadrature and superposition primitives against independent references."""
 
 import math
+import re
 import warnings
 from bisect import bisect_left
 
@@ -13,7 +14,6 @@ from scipy.signal import czt
 
 from qensemble import ensemble, numerics, squarewell
 from qensemble.numerics import (
-    ComplexField,
     Grid1D,
     KBall,
     _cis,
@@ -65,21 +65,6 @@ class TestKBall:
             KBall(-1.0)
 
 
-class TestComplexField:
-    def test_density(self):
-        grid = Grid1D(0.0, 1.0, 3)
-        field = ComplexField(grid, np.array([1.0, 1j, 1.0 + 1j]))
-        assert_allclose(field.density(), [1.0, 1.0, 2.0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ComplexField(Grid1D(0.0, 1.0, 3), np.zeros(4, dtype=complex))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            ComplexField(Grid1D(0.0, 1.0, 2), np.array([1.0, np.inf], dtype=complex))
-
-
 class TestIntegrateReal:
     @pytest.mark.parametrize("n,tol", [(1001, 1e-10), (1000, 1e-10), (101, 1e-7), (3, 0.1)])
     def test_sine_integral(self, n, tol):
@@ -123,7 +108,7 @@ class TestRuleWeights:
                 ensemble.ParticleModel(), ensemble.apply_retarding_filter(ensemble.ParticleModel(), 0.25)
             ),
             lambda: ensemble.uncertainty_product(lambda k: np.exp(-k * k / 2.0), (-20.0, 20.0)),
-            lambda: squarewell.normalization_audit(squarewell.pair_member(_WELL, 0.5), _WELL).integral,
+            lambda: squarewell.normalization_audit(squarewell.pair_member(_WELL, 0.5), _WELL),
         ],
         ids=["parseval_norm", "collapse_fraction", "uncertainty_product", "normalization_audit"],
     )
@@ -177,9 +162,9 @@ class TestRadialSuperposition:
 
     def test_grid_matches_pointwise(self):
         grid = Grid1D(0.0, 2.0, 5)
-        field = ComplexField(grid, radial_superposition(1.0, KBall(1.0), grid.points()))
+        field = radial_superposition(1.0, KBall(1.0), grid.points())
         single = [radial_superposition(1.0, KBall(1.0), float(r))[0] for r in grid.points()]
-        assert_allclose(field.values, single, rtol=0.0, atol=1e-15)
+        assert_allclose(field, single, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 4.7])
     def test_flat_profile_against_quad(self, r):
@@ -618,3 +603,19 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="uniform"):
             _synthesize(w, 0.0, 0.1, np.array([0.0, 0.1, 0.25, 0.3]))
 
+
+    @pytest.mark.parametrize(
+        "x,n_k,k_lo,dk,span",
+        [
+            (np.linspace(0.0, 1e307, 3), 11, 0.0, 1.0, "0 .. 1e+307"),
+            (1e308, 11, 0.0, 1.0, "1e+308 .. 1e+308"),
+            (1e308, 11, 10.0, 1e-300, "1e+308 .. 1e+308"),
+        ],
+        ids=["lag_chirp", "weight_phase", "node_phase"],
+    )
+    def test_overflowing_phases_are_refused(self, x, n_k, k_lo, dk, span):
+        # each case overflows one phase table alone: exp(-i alpha l^2 / 2), exp(i x0 dk m) or exp(i x0 k_lo)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=re.escape(f"phases overflow on the grid {span} at dk = {dk:g}")):
+                _synthesize(np.ones(n_k, dtype=complex), k_lo, dk, x)

@@ -199,9 +199,9 @@ class TestBoundStates:
         k1 = self.bisect_root(cfg, 1.0, 1.2)
         assert is_bound_state_member(cfg, k1)
         on = normalization_audit(pair_member(cfg, k1), cfg)
-        assert abs(on.ratio - 1.0) <= 1e-9
+        assert abs(on - 1.0) <= 1e-9
         off = normalization_audit(pair_member(cfg, 0.5), cfg)
-        assert abs(off.ratio - 1.0) > 1e-2
+        assert abs(off - 1.0) > 1e-2
         assert not is_bound_state_member(cfg, 0.5)
 
 
