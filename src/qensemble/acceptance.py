@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +29,8 @@ from .ensemble import (
     uncertainty_product,
 )
 from .numerics import (
+    TWO_PI,
     Grid1D,
-    KBall,
     SingleMode,
     _simpson_rule,
     integrate_real,
@@ -75,8 +74,7 @@ from .wavepacket import (
 _CHECK_SEED = 20260818
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one acceptance or invariant check."""
 
     name: str
@@ -110,25 +108,36 @@ def check_zero_potential_reduction() -> tuple[bool, str]:
     """A vanishing potential reproduces the free construction bit for bit."""
     p = ParticleModel()
     grid = Grid1D(0.0, 8.0, 161)
-    free = radial_superposition(p.flat_amplitude, KBall(allowed_k_range(p, 0.0).k_hi, 801), grid.points())
+    free = radial_superposition(p.flat_amplitude, allowed_k_range(p, 0.0).k_hi, 801, grid.points())
     same = bool(np.array_equal(free, potential_wavefunction(p, 0.0, grid)))
     detail = "identical arrays" if same else "arrays differ"
     return same, detail
 
 
 def check_decaying_tail_shape() -> tuple[bool, str]:
-    """Above-barrier construction yields a real, positive, decreasing tail."""
+    """Above-barrier construction yields the closed-form positive, decreasing tail.
+
+    With K the band's top decay constant, the tail is
+    sqrt(m) (2 pi)^(-3/2) 4 pi int_0^K k^2 exp(-kr) dk
+    = sqrt(m) (2 pi)^(-3/2) 4 pi (2 - e^{-Kr} (K^2 r^2 + 2 K r + 2)) / r^3.
+    """
     p = ParticleModel()
     kr = allowed_k_range(p, 3.0)
     grid = Grid1D(0.1, 4.0, 101)
     vals = potential_wavefunction(p, 3.0, grid)
-    imag_max = float(np.abs(vals.imag).max())
+    r = grid.points()
+    kr_r = kr.k_hi * r
+    closed = (
+        p.flat_amplitude * TWO_PI**-1.5 * 4.0 * np.pi
+        * (2.0 - np.exp(-kr_r) * (kr_r * kr_r + 2.0 * kr_r + 2.0)) / r**3
+    )
+    shape_err = float(np.abs(vals - closed).max() / closed.max())
     positive = bool(np.all(vals > 0.0))
     decreasing = bool(np.all(np.diff(vals) < 0.0))
-    ok = kr.regime is Regime.DECAYING and imag_max <= 1e-12 and positive and decreasing
+    ok = kr.regime is Regime.DECAYING and shape_err <= 1e-9 and positive and decreasing
     detail = (
-        f"regime {kr.regime.name.lower()}, max imaginary part {imag_max:.3e}, "
-        f"positive {positive}, decreasing {decreasing}"
+        f"regime {kr.regime.name.lower()}, closed-form deviation {shape_err:.3e} of peak "
+        f"(tolerance 1e-09), positive {positive}, decreasing {decreasing}"
     )
     return ok, detail
 

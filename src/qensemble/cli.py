@@ -18,8 +18,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .ensemble import (
     collapse_fraction,
     potential_wavefunction,
 )
-from .numerics import Grid1D, KBall, SingleMode, integrate_real, radial_superposition
+from .numerics import Grid1D, SingleMode, integrate_real, radial_superposition
 from .optics import (
     DEFAULT_SEED,
     MZConfig,
@@ -56,8 +55,7 @@ from .wavepacket import GaussianPacket, propagate, truncation_bound
 # parameter plumbing
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     """One scenario parameter: type, default, unit tag and help text."""
 
     kind: str
@@ -67,15 +65,18 @@ class ParamSpec:
     choices: tuple = ()
 
 
-@dataclass
-class ScenarioResult:
-    """Everything a runner hands back to the writer and reporter."""
+class ScenarioResult(NamedTuple):
+    """Everything a runner hands back to the writer and reporter.
+
+    Runners fill the containers in place; each builds its own, since a
+    default list or dict would be shared by every result.
+    """
 
     geometry: str
-    columns: list = field(default_factory=list)  # (name, unit, values)
-    outputs: dict = field(default_factory=dict)
-    oracle_deltas: dict = field(default_factory=dict)  # name -> (value, tol, unit)
-    notes: list = field(default_factory=list)
+    columns: list  # (name, unit, values)
+    outputs: dict
+    oracle_deltas: dict  # name -> (value, tol, unit)
+    notes: list
 
 
 SCENARIO_PARAMS: dict[str, dict[str, ParamSpec]] = {
@@ -357,7 +358,7 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
     p = ParticleModel(total_energy=params["e_total"])
     convention = _CONVENTIONS[params["convention"]]
     grid = Grid1D(params["r_min"], params["r_max"], params["n_r"])
-    res = ScenarioResult(geometry="3d_radial")
+    res = ScenarioResult("3d_radial", [], {}, {}, [])
     res.columns.append(("r", "length", grid.points()))
     res.notes.append("densities are unnormalized equal-weight member superpositions in natural units")
     origin_included = params["r_min"] == 0.0
@@ -392,13 +393,13 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
     if params["n_k"] < 0:
         raise _CliError(f"parameter 'n_k' must be 0 (automatic) or a node count, got {params['n_k']}")
     n_k = params["n_k"] or None
-    res = ScenarioResult(geometry="1d_line")
+    res = ScenarioResult("1d_line", [], {}, {}, [])
     res.columns.append(("x", "length", x))
     kinds = ("gaussian", "single_mode") if params["packet"] == "both" else (params["packet"],)
     if "gaussian" in kinds:
         packet = GaussianPacket(b=params["b"], k0=params["k0"])
         runs = [(t, x, np.abs(propagate(packet, t, grid, n_k=n_k)) ** 2) for t in times]
-        res.columns += [(f"density_gaussian[t={t:g}]", "1/length", dens) for t, _, dens in runs]
+        res.columns.extend((f"density_gaussian[t={t:g}]", "1/length", dens) for t, _, dens in runs)
         res.notes.append(
             "gaussian oracle holds nodes at or above 1e-8 of the packet's peak closed-form density"
             " to 1e-4 relative, and every node to 1e-10 of that peak absolute"
@@ -445,10 +446,10 @@ def _run_collapse(params: dict, seed: int) -> ScenarioResult:
         )
     grid = Grid1D(params["r_min"], params["r_max"], params["n_r"])
     n_k = params["n_k"]
-    res = ScenarioResult(geometry="3d_radial")
+    res = ScenarioResult("3d_radial", [], {}, {}, [])
 
     def flat_field(k_hi: float) -> np.ndarray:
-        return radial_superposition(p.flat_amplitude, KBall(k_hi, n_k), grid.points())
+        return radial_superposition(p.flat_amplitude, k_hi, n_k, grid.points())
 
     # the surviving band [k1, k0] is the full ball minus the blocked core,
     # which keeps both quadratures free of indicator discontinuities
@@ -485,7 +486,7 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
     grid = Grid1D(params["x_min"], params["x_max"], params["n_x"])
     n_k, tol = params["n_k"], params["resonance_tol"]
     profile = well_ensemble_density(cfg, grid, n_k=n_k, resonance_tol=tol)
-    res = ScenarioResult(geometry="1d_line")
+    res = ScenarioResult("1d_line", [], {}, {}, [])
     res.columns.append(("x", "length", grid.points()))
     res.columns.append(("rho", "1/length", profile.values))
     res.outputs["pair_constant"] = _q(cfg.pair_constant, "1/length^2")
@@ -502,7 +503,7 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
             "leaving that oracle nothing to check; lower resonance_tol"
         )
     res.oracle_deltas["member_pairing"] = member_pairing(cfg, pair_member(cfg, k1[~resonant], tol))
-    res.oracle_deltas["density_parity"] = density_parity(cfg, profile, n_k, tol)
+    res.oracle_deltas["density_parity"] = density_parity(cfg, profile)
     res.oracle_deltas["density_norm"] = (
         abs(integrate_real(profile.values, grid.spacing) - 1.0),
         1e-8,
@@ -522,7 +523,7 @@ def _run_eraser(params: dict, seed: int) -> ScenarioResult:
         b_amp=params["b_amp"],
         c=params["c"],
     )
-    res = ScenarioResult(geometry="polarization_optics")
+    res = ScenarioResult("polarization_optics", [], {}, {}, [])
     res.columns.append(("phase", "radian", report.phases))
     for stage in report.field_curves:
         res.columns.append((f"intensity_fields[{stage}]", "intensity", report.field_curves[stage]))
@@ -546,7 +547,7 @@ def _run_bomb(params: dict, seed: int) -> ScenarioResult:
     probs = mz_probabilities(cfg)
     silent = mz_probabilities(MZConfig(bomb_present=False, reflectivity=params["reflectivity"]))
     ledger = efficiency_account(cfg, params["n_trials"], seed=seed)
-    res = ScenarioResult(geometry="two_port_interferometer")
+    res = ScenarioResult("two_port_interferometer", [], {}, {}, [])
     order = ("absorbed", "detected_bright", "detected_dark", "undetected")
     res.columns.append(("outcome", "label", list(order)))
     res.columns.append(("expected_probability", "probability", [ledger.expected[k] for k in order]))

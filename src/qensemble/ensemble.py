@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .numerics import (
     TWO_PI,
     ArrayF,
     Grid1D,
-    KBall,
     SingleMode,
     _simpson_rule,
     integrate_weighted,
@@ -96,8 +96,7 @@ class KRange:
         return self.k_lo <= other.k_lo and other.k_hi <= self.k_hi
 
 
-@dataclass(frozen=True)
-class FilteredEnsemble:
+class FilteredEnsemble(NamedTuple):
     """Before/after ranges of an energy-threshold measurement."""
 
     before: KRange
@@ -150,7 +149,7 @@ def potential_wavefunction(
     rng = allowed_k_range(p, potential, convention=convention)
     kernel = "oscillatory" if rng.regime is Regime.OSCILLATORY else "decaying"
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = radial_superposition(p.flat_amplitude, KBall(rng.k_hi, n_k), grid.points(), kernel=kernel)
+        vals = radial_superposition(p.flat_amplitude, rng.k_hi, n_k, grid.points(), kernel=kernel)
         finite = np.isfinite(vals**2).all()
     if not finite:
         raise ValueError(

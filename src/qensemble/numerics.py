@@ -59,20 +59,6 @@ class Grid1D:
 
 
 @dataclass(frozen=True)
-class KBall:
-    """Radial quadrature domain for an isotropic ball |k| <= k_max."""
-
-    k_max: float
-    n_k: int = 513
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.k_max) or self.k_max < 0.0:
-            raise ValueError("k_max must be finite and nonnegative")
-        if self.n_k < 2:
-            raise ValueError("ball quadrature needs at least 2 nodes")
-
-
-@dataclass(frozen=True)
 class SingleMode:
     """Symbolic single retained mode at wavenumber k0.
 
@@ -298,16 +284,17 @@ def integrate_weighted(values: ArrayF, weights: ArrayF) -> float:
     return float(np.dot(weights, vals))
 
 
-def radial_superposition(amplitude: float, ball: KBall, r, kernel: str = "oscillatory") -> ArrayF:
-    """Isotropic 3-D superposition of a flat amplitude over a ball of wavevectors.
+def radial_superposition(amplitude: float, k_max: float, n_k: int, r, kernel: str = "oscillatory") -> ArrayF:
+    """Isotropic 3-D superposition of a flat amplitude over the ball |k| <= k_max.
 
     Evaluates (2*pi)**(-3/2) * 4*pi * int_0^{k_max} k^2 chi0 K(k, r) dk for
-    the real constant chi0 = amplitude, with K = sin(kr)/(kr) for
-    kernel="oscillatory" and K = exp(-k|r|) for kernel="decaying".
-    Vectorized over r; returns a real array matching r.  The oscillatory
-    kernel runs on the chirp-z synthesis, so r must be a scalar or uniformly
-    spaced (see _synthesize); other r raise ValueError.  The decaying kernel
-    is _decay_sum, with its bound.
+    the real constant chi0 = amplitude on n_k Simpson nodes (rounded up to
+    odd), with K = sin(kr)/(kr) for kernel="oscillatory" and K = exp(-k|r|)
+    for kernel="decaying".  A k_max that is not finite or is negative, or
+    n_k < 2, raises ValueError.  Vectorized over r; returns a real array
+    matching r.  The oscillatory kernel runs on the chirp-z synthesis, so r
+    must be a scalar or uniformly spaced (see _synthesize); other r raise
+    ValueError.  The decaying kernel is _decay_sum, with its bound.
 
     Oscillatory nodes with k_max |r| < 0.1 sum a series in t = (k_max r)^2
     instead (see below).  Its moments sum_m wts_m k_m (-q_m)^j, j <= 4,
@@ -319,13 +306,17 @@ def radial_superposition(amplitude: float, ball: KBall, r, kernel: str = "oscill
     at most (9 j + 4 + D) u, weighted by t^j / (2j+1)!; the first omitted
     term is below 3e-18 of the leading one.
     """
+    if not np.isfinite(k_max) or k_max < 0.0:
+        raise ValueError("k_max must be finite and nonnegative")
+    if n_k < 2:
+        raise ValueError("ball quadrature needs at least 2 nodes")
     r_arr = np.atleast_1d(np.asarray(r, dtype=np.float64))
     if kernel not in ("oscillatory", "decaying"):
         raise ValueError("kernel must be 'oscillatory' or 'decaying'")
-    if ball.k_max == 0.0:
+    if k_max == 0.0:
         return np.zeros(r_arr.shape)
     pref = TWO_PI ** -1.5 * 4.0 * np.pi
-    k, w, dk = _simpson_rule(0.0, ball.k_max, ball.n_k)
+    k, w, dk = _simpson_rule(0.0, k_max, n_k)
     wts = w * k * amplitude
     if kernel == "decaying":
         return pref * _decay_sum(wts * k, dk, np.abs(r_arr))
@@ -336,14 +327,14 @@ def radial_superposition(amplitude: float, ball: KBall, r, kernel: str = "oscill
     # t = (k_max r)^2; the first omitted term is below 3e-18 of the leading
     # one, and past the cut the division costs at most about 1e-14 of the peak.
     out = _synthesize(wts, 0.0, dk, r_arr).imag
-    small = np.abs(r_arr) * ball.k_max < 0.1
+    small = np.abs(r_arr) * k_max < 0.1
     # a product with the reciprocal, here and in the series, is the rounding the identity manifest records
     out *= 1.0 / np.where(small, 1.0, r_arr)
     if small.any():
         # the five moments sum_m wts_m k_m (-q_m)^j from one running-product
         # table, each row summed pairwise (see the docstring's bound)
-        moments = np.sum(_powers(-((k / ball.k_max) ** 2), 5, first=k) * wts, axis=1)
-        t = (ball.k_max * r_arr[small]) ** 2
+        moments = np.sum(_powers(-((k / k_max) ** 2), 5, first=k) * wts, axis=1)
+        t = (k_max * r_arr[small]) ** 2
         series = np.zeros(t.shape)
         for j in range(4, -1, -1):
             series = series * t + moments[j] * (1.0 / math.factorial(2 * j + 1))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -217,8 +217,7 @@ def visibility(curve) -> float:
     return 0.0 if total == 0.0 else (hi - lo) / total
 
 
-@dataclass(frozen=True)
-class FormalismReport:
+class FormalismReport(NamedTuple):
     """Field-route and state-route sweeps with their fitted proportionality."""
 
     phases: ArrayF
@@ -309,8 +308,7 @@ class MZConfig:
             raise ValueError("efficiency must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class MZProbabilities:
+class MZProbabilities(NamedTuple):
     """Outcome distribution over the bright port, dark port and absorber."""
 
     bright: float
@@ -340,8 +338,7 @@ def mz_probabilities(cfg: MZConfig) -> MZProbabilities:
     return MZProbabilities(bright=bright, dark=dark, absorbed=absorbed)
 
 
-@dataclass(frozen=True)
-class EfficiencyLedger:
+class EfficiencyLedger(NamedTuple):
     """Monte Carlo bookkeeping of where the photons went."""
 
     n_trials: int

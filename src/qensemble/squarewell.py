@@ -16,6 +16,7 @@ reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ class WellConfig:
         return float(np.sqrt(p.mass * (self.v0 - p.total_energy)))
 
 
-@dataclass(frozen=True)
-class WellMember:
+class WellMember(NamedTuple):
     """Piecewise members: interior wavenumber, decay constant, amplitude.
 
     Each field is a float for one member, or an array with one entry per member.
@@ -189,15 +189,16 @@ def normalization_audit(member: WellMember, cfg: WellConfig) -> float:
     return integrate_weighted(vals * vals, w) / cfg.particle.mass
 
 
-@dataclass(frozen=True)
-class WellDensityResult:
-    """Normalized ensemble density with quadrature diagnostics."""
+class WellDensityResult(NamedTuple):
+    """Normalized ensemble density with quadrature diagnostics and the settings it was built with."""
 
     grid: Grid1D
     values: ArrayF
     excluded_k_measure: float
     excluded_node_count: int
     norm_constant: float
+    n_k: int
+    resonance_tol: float
 
 
 def well_ensemble_density(
@@ -224,6 +225,8 @@ def well_ensemble_density(
         excluded_k_measure=excluded_measure,
         excluded_node_count=excluded_count,
         norm_constant=float(norm),
+        n_k=n_k,
+        resonance_tol=resonance_tol,
     )
 
 
@@ -264,16 +267,14 @@ def _raw_density(cfg: WellConfig, x: ArrayF, n_k: int, resonance_tol: float) -> 
     return rho, excluded_measure, excluded_count
 
 
-def density_parity(
-    cfg: WellConfig, profile: WellDensityResult, n_k: int = 2001, resonance_tol: float = 1e-6
-) -> tuple[float, float, str]:
+def density_parity(cfg: WellConfig, profile: WellDensityResult) -> tuple[float, float, str]:
     """Parity oracle: max |rho(x) - rho(-x)| on the profile's grid.
 
     Returns (value, tolerance, unit).  On a grid that is its own mirror
     rho(-x) is the profile reversed.  Otherwise the density is evaluated at
-    exactly -x, with the same n_k and resonance_tol, and divided by this
-    profile's norm_constant: a node within rounding of a wall falls on the
-    same side of it both times, and Simpson's end correction, which is not
+    exactly -x, with the n_k and resonance_tol the profile records, and
+    divided by its norm_constant: a node within rounding of a wall falls on
+    the same side of it both times, and Simpson's end correction, which is not
     symmetric for an even node count, stays out of the comparison.  Both
     sides carry rounding relative to the peak, so the tolerance is 1e-10
     max(1, peak): 1e-10 wherever the normalized density peaks at or
@@ -282,6 +283,7 @@ def density_parity(
     g = profile.grid
     mirrored = profile.values[::-1]
     if g.x_min != -g.x_max:
-        mirrored = _raw_density(cfg, -g.points()[::-1], n_k, resonance_tol)[0][::-1] / profile.norm_constant
+        raw = _raw_density(cfg, -g.points()[::-1], profile.n_k, profile.resonance_tol)[0]
+        mirrored = raw[::-1] / profile.norm_constant
     tol = 1e-10 * max(1.0, float(profile.values.max()))
     return float(np.abs(profile.values - mirrored).max()), tol, "absolute"

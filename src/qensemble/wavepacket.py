@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -224,8 +224,7 @@ def equilibrium_check(amplitude, spacing: float) -> float:
     return float(np.abs(_product_gradient(amplitude, spacing)).max())
 
 
-@dataclass(frozen=True)
-class QuantumPotentialResult:
+class QuantumPotentialResult(NamedTuple):
     """Curvature ratio values with the mask of unreliable nodes."""
 
     values: ArrayF

@@ -98,3 +98,11 @@ def test_corrupted_dispersion_fails_only_spread_watchers(monkeypatch):
     assert closed_form_density(GaussianPacket(b=1.0, k0=0.0), np.array([0.0]), 1.0)[0] == 2.0**-0.5
     failed = {r.name for r in run_checks() if not r.passed}
     assert failed == {"gaussian_spreading", "packet_norm_transport"}
+
+
+def test_scaled_decaying_tail_fails_its_shape_check(monkeypatch):
+    # the closed-form tail holds the profile to 1e-9 of its peak, so a gain of 1e-6 is a breach
+    profile = acceptance.potential_wavefunction
+    monkeypatch.setattr(acceptance, "potential_wavefunction", lambda *a, **kw: profile(*a, **kw) * (1.0 + 1e-6))
+    (result,) = run_checks(["decaying_tail_shape"])
+    assert not result.passed, result.line

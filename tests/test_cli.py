@@ -3,9 +3,11 @@
 import contextlib
 import csv
 import dataclasses
+import importlib
 import io
 import json
 import os
+import pkgutil
 import runpy
 import struct
 import subprocess
@@ -480,14 +482,13 @@ def _json_reference(result, scenario, params):
 
 
 def _edge_result():
-    result = ScenarioResult(geometry="none")
-    result.columns += [
+    columns = [
         ("value", "length", np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1])),
         ("count", "count", np.array([0, -3, 2**62, 7, 1])),
         ("tally", "count", [4, 0, 1, 2, 3]),
         ("label", "label", ["plain", "with,comma", 'say "hi"', "tab\there", "\u00e9t\u00e9"]),
     ]
-    return result
+    return ScenarioResult("none", columns, {}, {}, [])
 
 
 class TestTableWriter:
@@ -513,15 +514,15 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_cell_leaves_no_file(self, fmt, tmp_path):
-        result = ScenarioResult(geometry="none")
-        result.columns += [("x", "length", np.array([0.0, 1.0])), ("y", "length", np.array([1.0, np.nan]))]
+        columns = [("x", "length", np.array([0.0, 1.0])), ("y", "length", np.array([1.0, np.nan]))]
+        result = ScenarioResult("none", columns, {}, {}, [])
         out = tmp_path / f"t.{fmt}"
         with pytest.raises(_CliError, match="non-finite value nan in column 'y'"):
             _write_table(str(out), fmt, result, "t", {})
         assert not out.exists()
 
     def test_one_row_table(self, tmp_path):
-        result = ScenarioResult(geometry="none", columns=[("x", "length", np.array([1.5]))])
+        result = ScenarioResult("none", [("x", "length", np.array([1.5]))], {}, {}, [])
         out = tmp_path / "t.json"
         _write_table(str(out), "json", result, "one", {})
         assert out.read_text() == _json_reference(result, "one", {})
@@ -533,12 +534,12 @@ class TestTableWriter:
     )
     def test_constant_columns_match_per_cell_reference(self, column, fmt):
         n = len(column)
-        result = ScenarioResult(geometry="none")
-        result.columns += [
+        columns = [
             ("x", "length", np.linspace(0.0, 1.0, n)),
             ("rho", "1/length", np.array(column)),
             ("k", "count", np.full(n, 3)),
         ]
+        result = ScenarioResult("none", columns, {}, {}, [])
         text = "".join(_render_table(fmt, result, "t", {}))
         assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {}))
 
@@ -556,7 +557,7 @@ class TestTableWriter:
     )
     def test_constant_text_columns_match_per_cell_reference(self, columns, fmt):
         # a constant column is literal template text, so each % in it must reach the file once
-        result = ScenarioResult(geometry="none", columns=columns)
+        result = ScenarioResult("none", columns, {}, {}, [])
         text = "".join(_render_table(fmt, result, "t", {"note": "100%"}))
         assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {"note": "100%"}))
 
@@ -585,7 +586,7 @@ _CELLS = {
 @st.composite
 def _tables(draw):
     n_rows = draw(st.integers(1, 6))
-    result = ScenarioResult(geometry="none")
+    result = ScenarioResult("none", [], {}, {}, [])
     for kind in draw(st.lists(st.sampled_from(sorted(_CELLS)), min_size=1, max_size=4)):
         cell, column = _CELLS[kind]
         cells = column(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)))
@@ -595,7 +596,7 @@ def _tables(draw):
 
 class TestRendererProperty:
     def test_render_matches_per_cell_reference(self):
-        lone_empty = ScenarioResult(geometry="none", columns=[("label", "label", [""])])
+        lone_empty = ScenarioResult("none", [("label", "label", [""])], {}, {}, [])
 
         @settings(max_examples=200, deadline=None, derandomize=True, database=None)
         @given(result=_tables(), fmt=st.sampled_from(["csv", "json"]))
@@ -690,8 +691,7 @@ class TestScaledOracles:
         def perturbed(**kwargs):
             report = formalism_agreement(**kwargs)
             curve = report.field_curves["baseline"] + 1e-9
-            return dataclasses.replace(
-                report,
+            return report._replace(
                 field_curves={**report.field_curves, "baseline": curve},
                 field_visibility={**report.field_visibility, "baseline": visibility(curve)},
             )
@@ -713,7 +713,7 @@ class TestScaledOracles:
     def test_well_perturbed_k2_exits_two(self, v0, capsys, tmp_path, monkeypatch):
         def perturbed(*args, **kwargs):
             member = pair_member(*args, **kwargs)
-            return dataclasses.replace(member, k2=member.k2 * (1.0 + 1e-9))
+            return member._replace(k2=member.k2 * (1.0 + 1e-9))
 
         monkeypatch.setattr(cli, "pair_member", perturbed)
         code, stdout, _ = run(["well", "--set", f"v0={v0}", "--out", str(tmp_path / "w.csv")], capsys)
@@ -754,7 +754,7 @@ class TestWellParity:
         def perturbed(cfg, grid, **kwargs):
             profile = well_ensemble_density(cfg, grid, **kwargs)
             odd = 1e-8 * profile.values.max() * grid.points() / grid.x_max
-            return dataclasses.replace(profile, values=profile.values + odd)
+            return profile._replace(values=profile.values + odd)
 
         monkeypatch.setattr(cli, "well_ensemble_density", perturbed)
         argv = ["well", "--set", f"x_min=-{half_width}", "--set", f"x_max={half_width}", "--out", str(tmp_path / "w.csv")]
@@ -767,7 +767,7 @@ class TestWellParity:
         def perturbed(cfg, grid, **kwargs):
             profile = well_ensemble_density(cfg, grid, **kwargs)
             x = grid.points()
-            return dataclasses.replace(profile, values=profile.values + 1e-8 * x * np.exp(-x * x))
+            return profile._replace(values=profile.values + 1e-8 * x * np.exp(-x * x))
 
         monkeypatch.setattr(cli, "well_ensemble_density", perturbed)
         argv = ["well", "--set", f"x_min={x_min}", "--out", str(tmp_path / "w.csv")]
@@ -839,6 +839,19 @@ def test_package_import_leaves_out_submodules():
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_every_dataclass_checks_its_fields():
+    # a record that checks nothing is a NamedTuple, whose class costs no generated code at import
+    checked, unchecked = [], []
+    for info in pkgutil.iter_modules(qensemble.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"qensemble.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__ and dataclasses.is_dataclass(obj):
+                (checked if "__post_init__" in vars(obj) else unchecked).append(f"{info.name}.{name}")
+    assert checked and not unchecked, unchecked
 
 
 class TestSelftest:

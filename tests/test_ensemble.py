@@ -20,7 +20,7 @@ from qensemble.ensemble import (
     potential_wavefunction,
     uncertainty_product,
 )
-from qensemble.numerics import Grid1D, KBall, SingleMode, _simpson_rule, radial_superposition
+from qensemble.numerics import Grid1D, SingleMode, _simpson_rule, radial_superposition
 from qensemble.wavepacket import GaussianPacket, propagate
 
 
@@ -84,7 +84,7 @@ class TestWavefunctions:
     def test_zero_potential_reduces_to_free(self):
         p = ParticleModel()
         grid = Grid1D(0.0, 6.0, 121)
-        free = radial_superposition(p.flat_amplitude, KBall(allowed_k_range(p, 0.0).k_hi, 801), grid.points())
+        free = radial_superposition(p.flat_amplitude, allowed_k_range(p, 0.0).k_hi, 801, grid.points())
         assert np.array_equal(free, potential_wavefunction(p, 0.0, grid))
 
     @pytest.mark.parametrize("r", [0.5, 2.0])

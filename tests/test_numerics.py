@@ -15,7 +15,6 @@ from scipy.signal import czt
 from qensemble import ensemble, numerics, squarewell
 from qensemble.numerics import (
     Grid1D,
-    KBall,
     _cis,
     _decay_sum,
     _linear_phase,
@@ -50,19 +49,6 @@ class TestGrid1D:
     def test_rejects_bad_grids(self, kwargs):
         with pytest.raises(ValueError):
             Grid1D(**kwargs)
-
-
-class TestKBall:
-    def test_nodes_are_odd_and_span(self):
-        # the ball's radial nodes are the rule's, as radial_superposition takes them
-        ball = KBall(2.0, n_k=10)
-        nodes, _, _ = _simpson_rule(0.0, ball.k_max, ball.n_k)
-        assert nodes.size % 2 == 1
-        assert nodes[0] == 0.0 and nodes[-1] == 2.0
-
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            KBall(-1.0)
 
 
 class TestIntegrateReal:
@@ -154,38 +140,49 @@ class TestIntegrateBall:
 class TestRadialSuperposition:
     def test_flat_origin_value(self):
         # (2 pi)^(-3/2) * (4 pi / 3) * k_max^3 at the origin
-        psi = radial_superposition(1.0, KBall(1.0), 0.0)
+        psi = radial_superposition(1.0, 1.0, 513, 0.0)
         assert psi.dtype == np.float64
         assert_allclose(psi[0], 0.2659615202676218, rtol=0.0, atol=1e-15)
-        on_grid = radial_superposition(1.0, KBall(1.0), Grid1D(0.0, 1.0, 3).points())
+        on_grid = radial_superposition(1.0, 1.0, 513, Grid1D(0.0, 1.0, 3).points())
         assert_allclose(on_grid[0], 0.2659615202676218, rtol=0.0, atol=1e-15)
 
     def test_grid_matches_pointwise(self):
         grid = Grid1D(0.0, 2.0, 5)
-        field = radial_superposition(1.0, KBall(1.0), grid.points())
-        single = [radial_superposition(1.0, KBall(1.0), float(r))[0] for r in grid.points()]
+        field = radial_superposition(1.0, 1.0, 513, grid.points())
+        single = [radial_superposition(1.0, 1.0, 513, float(r))[0] for r in grid.points()]
         assert_allclose(field, single, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("r", [0.3, 1.0, 4.7])
     def test_flat_profile_against_quad(self, r):
-        psi = radial_superposition(1.0, KBall(1.0, 2001), r)
+        psi = radial_superposition(1.0, 1.0, 2001, r)
         ref, _ = sci.quad(lambda k: k * k * np.sin(k * r) / (k * r), 0.0, 1.0)
         ref *= 4.0 * np.pi * TWO_PI**-1.5
         assert_allclose(psi[0], ref, rtol=1e-10)
 
     def test_decaying_kernel_monotone(self):
         r = np.linspace(0.0, 3.0, 31)
-        psi = radial_superposition(1.0, KBall(1.0), r, kernel="decaying")
+        psi = radial_superposition(1.0, 1.0, 513, r, kernel="decaying")
         assert psi.dtype == np.float64
         assert np.all(psi > 0.0)
         assert np.all(np.diff(psi) < 0.0)
         # both kernels agree at the origin where the kernel factor is one
-        osc = radial_superposition(1.0, KBall(1.0), 0.0)
+        osc = radial_superposition(1.0, 1.0, 513, 0.0)
         assert_allclose(psi[0], osc[0], rtol=1e-12)
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError):
-            radial_superposition(1.0, KBall(1.0), 0.5, kernel="weird")
+            radial_superposition(1.0, 1.0, 513, 0.5, kernel="weird")
+
+    def test_rejects_negative_radius(self):
+        for k_max in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^k_max must be finite and nonnegative$"):
+                radial_superposition(1.0, k_max, 513, 0.5)
+
+    def test_rejects_fewer_than_two_nodes(self):
+        # refused before the empty ball returns its zeros, too
+        for k_max in (0.0, 1.0):
+            with pytest.raises(ValueError, match="^ball quadrature needs at least 2 nodes$"):
+                radial_superposition(1.0, k_max, 1, 0.5)
 
 
 def flat_ball_oscillatory(K, r):
@@ -231,7 +228,7 @@ class TestRadialProfiles:
         [("oscillatory", flat_ball_oscillatory), ("decaying", flat_ball_decaying)],
     )
     def test_flat_ball_closed_forms(self, kernel, closed):
-        psi = radial_superposition(1.0, KBall(1.0, 2001), self.r, kernel=kernel)
+        psi = radial_superposition(1.0, 1.0, 2001, self.r, kernel=kernel)
         ref = 4.0 * np.pi * TWO_PI**-1.5 * closed(1.0, self.r)
         assert np.abs(psi - ref).max() <= 2e-13 * np.abs(ref).max()
 
@@ -249,23 +246,22 @@ class TestRadialProfiles:
         ],
     )
     def test_nodes_near_the_origin(self, kernel, closed, r):
-        psi = radial_superposition(1.0, KBall(1.0, 2001), r, kernel=kernel)
+        psi = radial_superposition(1.0, 1.0, 2001, r, kernel=kernel)
         ref = 4.0 * np.pi * TWO_PI**-1.5 * closed(1.0, np.abs(r))
         assert np.abs(psi - ref).max() <= 2e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("r", [0.0, 1e-300, 1e-12, 0.05, 0.2, 3.0])
     def test_scalar_radius_matches_sinc_sum(self, r):
-        ball = KBall(2.5, 801)
-        k, _, _ = _simpson_rule(0.0, ball.k_max, ball.n_k)
+        k, _, _ = _simpson_rule(0.0, 2.5, 801)
         amp = 0.7
         w = 4.0 * np.pi * TWO_PI**-1.5 * odd_simpson_weights(k) * k * k * amp
         ref = np.dot(w, np.sinc(k * r / np.pi))
-        psi = radial_superposition(amp, ball, r)
+        psi = radial_superposition(amp, 2.5, 801, r)
         assert abs(psi[0] - ref) <= 1e-14 * np.abs(w).sum()
 
     def test_non_uniform_radii_rejected(self):
         with pytest.raises(ValueError, match="uniform"):
-            radial_superposition(1.0, KBall(1.0), np.array([0.0, 0.1, 0.25, 0.3]))
+            radial_superposition(1.0, 1.0, 513, np.array([0.0, 0.1, 0.25, 0.3]))
 
     @pytest.mark.parametrize(
         "convention,n_k,r",
@@ -278,19 +274,19 @@ class TestRadialProfiles:
     )
     def test_series_within_its_stated_bound_of_30_digit_sums(self, convention, n_k, r):
         p = ensemble.ParticleModel(total_energy=1.5177710407756604)
-        ball = KBall(ensemble.allowed_k_range(p, 0.0, convention).k_hi, n_k)
-        psi = radial_superposition(p.flat_amplitude, ball, r)
-        k, w, _ = _simpson_rule(0.0, ball.k_max, n_k)
+        k_max = ensemble.allowed_k_range(p, 0.0, convention).k_hi
+        psi = radial_superposition(p.flat_amplitude, k_max, n_k, r)
+        k, w, _ = _simpson_rule(0.0, k_max, n_k)
         wts = w * k * p.flat_amplitude
         pref = TWO_PI**-1.5 * 4.0 * np.pi
-        small = np.nonzero(r * ball.k_max < 0.1)[0]
+        small = np.nonzero(r * k_max < 0.1)[0]
         nodes = small[[0, small.size // 2, -1]]
         # the docstring's bound: (9 j + 4 + D) u on each term of moment j, weighted by t^j / (2j+1)!
         depth = 26 + math.log2(n_k)
-        q = (k / ball.k_max) ** 2
+        q = (k / k_max) ** 2
         errors, bounds = [], []
         for j in nodes:
-            t = (ball.k_max * r[j]) ** 2
+            t = (k_max * r[j]) ** 2
             scale = [t**i / math.factorial(2 * i + 1) * np.sum(np.abs(wts * k * q**i)) for i in range(5)]
             rounding = 2.0**-53 * sum((9 * i + 4 + depth) * s for i, s in enumerate(scale))
             bounds.append(pref * (rounding + 3e-18 * scale[0]))

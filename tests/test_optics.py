@@ -1,8 +1,6 @@
 """Polarized beams, the eraser bench and the absorber interferometer."""
 
-import dataclasses
 import math
-import os
 import re
 import threading
 import warnings
@@ -218,7 +216,7 @@ class TestEraserOracles:
     def test_any_stage_and_route_can_breach(self, stage, route):
         report = formalism_agreement(n_phases=63)
         table = getattr(report, route)
-        shifted = dataclasses.replace(report, **{route: {**table, stage.value: table[stage.value] + 1e-9}})
+        shifted = report._replace(**{route: {**table, stage.value: table[stage.value] + 1e-9}})
         assert visibility_targets(shifted)[0] > 1e-12
 
     @pytest.mark.parametrize("amp", [0.5, 1.0, 2.0, 1e4])
@@ -250,7 +248,7 @@ class TestCountOracle:
         ledger = efficiency_account(MZConfig(bomb_present=True), 100000)
         p = ledger.expected["absorbed"]
         shift = math.ceil(4.5 * math.sqrt(ledger.n_trials * p * (1.0 - p)))
-        moved = dataclasses.replace(ledger, counts={**ledger.counts, "absorbed": ledger.counts["absorbed"] + shift})
+        moved = ledger._replace(counts={**ledger.counts, "absorbed": ledger.counts["absorbed"] + shift})
         assert count_deviation(moved)[0] > 4.0
 
 
@@ -359,20 +357,11 @@ class TestEfficiencyLedger:
     # n at and around the 2**18-trial chunks the per-trial ledger once counted in
     @pytest.mark.parametrize(
         "n",
-        [1, 2, 3, 4, 5, 7, 1000, 2**18 - 1, 2**18, 2**18 + 1, 3_000_000, 3_000_001],
+        [1, 2, 3, 4, 5, 7, 1000, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 11, 3_000_000, 3_000_001],
     )
     def test_chunked_counts_equal_one_shot_draws(self, n):
         for cfg in _LEDGER_CONFIGS:
             assert efficiency_account(cfg, n, seed=2024).counts == _one_shot_counts(cfg, n, 2024), cfg
-
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 5, 64])
-    def test_counts_do_not_depend_on_the_cpu_count(self, cpus, monkeypatch):
-        cfg = MZConfig(bomb_present=True, reflectivity=0.45, efficiency=0.3)
-        n = 3 * 2**18 + 11
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(os, "process_cpu_count", lambda: cpus, raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        assert efficiency_account(cfg, n, seed=5).counts == _one_shot_counts(cfg, n, 5)
 
     def test_one_chunk_starts_no_thread(self, monkeypatch):
         def refuse(thread):

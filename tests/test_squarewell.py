@@ -229,6 +229,14 @@ class TestEnsembleDensity:
         value, tol, unit = density_parity(cfg, profile)
         assert value <= tol and (tol, unit) == (1e-10 * max(1.0, profile.values.max()), "absolute")
 
+    def test_parity_mirrors_with_the_profiles_own_settings(self):
+        # an asymmetric grid is mirrored by a second evaluation, which must take the profile's n_k
+        cfg = default_config()
+        profile = well_ensemble_density(cfg, Grid1D(0.0, 8.0, 801), n_k=501)
+        assert (profile.n_k, profile.resonance_tol) == (501, 1e-6)
+        value, tol, _ = density_parity(cfg, profile)
+        assert value <= tol
+
     def test_parity_on_symmetric_grid_is_the_reversed_profile(self):
         cfg = default_config()
         profile = well_ensemble_density(cfg, Grid1D(-8.0, 8.0, 1601))
