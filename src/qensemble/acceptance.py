@@ -180,7 +180,7 @@ def check_bound_state_normalization() -> tuple[bool, str]:
     off_ratio = normalization_audit(pair_member(cfg, 0.5), cfg)
     ok = (
         is_bound_state_member(cfg, k1)
-        and abs(on_ratio - 1.0) <= 1e-6
+        and abs(on_ratio - 1.0) <= 1e-9
         and abs(off_ratio - 1.0) > 1e-2
     )
     detail = (
@@ -204,7 +204,7 @@ def check_packet_norm_transport() -> tuple[bool, str]:
     target = packet.k0 * 2.0
     transport = abs(centroid - target) / abs(target)
     leak = truncation_bound(packet)
-    ok = drift <= 1e-6 and transport <= 1e-6 and leak <= 1e-14
+    ok = drift <= 5e-11 and transport <= 5e-11 and leak <= 1e-14
     detail = (
         f"norm drift {drift:.3e}, centroid error {transport:.3e}, "
         f"spectral truncation bound {leak:.3e}"
@@ -228,7 +228,7 @@ def check_quantum_potential_mask() -> tuple[bool, str]:
     gauss = quantum_potential(np.exp(-gx * gx / 2.0), gauss_grid.spacing)
     mid = gx.size // 2
     err_gauss = abs(gauss.values[mid] + 1.0)
-    ok = masked_count == 2 and nan_on_mask and err_quad <= 1e-6 and err_gauss <= 1e-3
+    ok = masked_count == 2 and nan_on_mask and err_quad <= 1e-8 and err_gauss <= 1e-3
     detail = (
         f"masked nodes {masked_count}, rational error {err_quad:.3e}, "
         f"center curvature error {err_gauss:.3e}"
@@ -475,7 +475,7 @@ def check_uncertainty_floor() -> tuple[bool, str]:
             return out
 
         lowest = min(lowest, uncertainty_product(spectrum, (-20.0, 20.0), n_k=1601))
-    ok = gauss_err <= 1e-3 and lowest >= 0.5 - 1e-6
+    ok = gauss_err <= 1e-11 and lowest >= 0.5 - 1e-6
     detail = (
         f"gaussian product deviates {gauss_err:.3e} from 0.5, "
         f"lowest of 20 random spectra {lowest:.9f}"

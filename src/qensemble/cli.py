@@ -18,37 +18,14 @@ import json
 import re
 import sys
 import time
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from . import ensemble, optics, wavepacket
-from .acceptance import run_checks
-from .ensemble import (
-    KineticConvention,
-    ParticleModel,
-    allowed_k_range,
-    apply_retarding_filter,
-    collapse_fraction,
-    potential_wavefunction,
-)
-from .numerics import Grid1D, SingleMode, integrate_real, radial_superposition
-from .optics import (
-    DEFAULT_SEED,
-    MZConfig,
-    efficiency_account,
-    formalism_agreement,
-    mz_probabilities,
-)
-from .squarewell import (
-    WellConfig,
-    density_parity,
-    member_pairing,
-    pair_member,
-    resonant_members,
-    well_ensemble_density,
-)
-from .wavepacket import GaussianPacket, propagate, truncation_bound
+from . import DEFAULT_SEED
+
+if TYPE_CHECKING:
+    from .ensemble import KineticConvention, ParticleModel
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +108,6 @@ SCENARIO_PARAMS: dict[str, dict[str, ParamSpec]] = {
         "n_trials": ParamSpec("int", 100000, "count", "Monte Carlo trials"),
     },
 }
-
-_CONVENTIONS = {"single": KineticConvention.SINGLE, "double": KineticConvention.DOUBLE}
-
 
 class _CliError(Exception):
     """Validation problem; maps to exit code 1."""
@@ -335,6 +309,9 @@ def _q(value, unit: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # scenario runners
+#
+# Each runner imports the modules it calls when it runs, so a process loads
+# only its own scenario's code, and `import qensemble.cli` loads none of it.
 
 
 def _origin_amplitude(p: ParticleModel, k_hi: float):
@@ -344,6 +321,8 @@ def _origin_amplitude(p: ParticleModel, k_hi: float):
 
 def _band(p: ParticleModel, v: float, convention: KineticConvention, where: str):
     """allowed_k_range(p, v), refused when the oracles' closed-form k^3 would be subnormal or 0."""
+    from .ensemble import allowed_k_range
+
     kr = allowed_k_range(p, v, convention)
     # min() keeps the cube of a large k_hi from overflowing; only small ones can fall below tiny
     if kr.k_hi > 0.0 and min(kr.k_hi, 1.0) ** 3 < np.finfo(float).tiny:
@@ -355,8 +334,11 @@ def _band(p: ParticleModel, v: float, convention: KineticConvention, where: str)
 
 
 def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
+    from .ensemble import KineticConvention, ParticleModel, flat_norm_deviation, potential_wavefunction
+    from .numerics import Grid1D
+
     p = ParticleModel(total_energy=params["e_total"])
-    convention = _CONVENTIONS[params["convention"]]
+    convention = KineticConvention[params["convention"].upper()]
     grid = Grid1D(params["r_min"], params["r_max"], params["n_r"])
     res = ScenarioResult("3d_radial", [], {}, {}, [])
     res.columns.append(("r", "length", grid.points()))
@@ -380,13 +362,16 @@ def _run_ensemble(params: dict, seed: int) -> ScenarioResult:
                 "relative",
             )
     free_hi = _band(p, 0.0, convention, "").k_hi
-    res.oracle_deltas["flat_spectral_norm"] = ensemble.flat_norm_deviation(p, free_hi)
+    res.oracle_deltas["flat_spectral_norm"] = flat_norm_deviation(p, free_hi)
     if not origin_included:
         res.notes.append("origin oracle skipped: grid does not include r = 0")
     return res
 
 
 def _run_spread(params: dict, seed: int) -> ScenarioResult:
+    from .numerics import Grid1D, SingleMode
+    from .wavepacket import GaussianPacket, propagate, spreading_deviation, truncation_bound
+
     grid = Grid1D(params["x_min"], params["x_max"], params["n_x"])
     x = grid.points()
     times = params["times"]
@@ -404,7 +389,7 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
             "gaussian oracle holds nodes at or above 1e-8 of the packet's peak closed-form density"
             " to 1e-4 relative, and every node to 1e-10 of that peak absolute"
         )
-        res.oracle_deltas["gaussian_vs_closed_form"] = wavepacket.spreading_deviation(packet, runs, res.notes)
+        res.oracle_deltas["gaussian_vs_closed_form"] = spreading_deviation(packet, runs, res.notes)
         res.outputs["truncation_bound"] = _q(truncation_bound(packet), "dimensionless")
     if "single_mode" in kinds:
         mode = SingleMode(k0=params["k0"])
@@ -424,8 +409,11 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
 
 
 def _run_collapse(params: dict, seed: int) -> ScenarioResult:
+    from .ensemble import KineticConvention, ParticleModel, apply_retarding_filter, collapse_fraction
+    from .numerics import Grid1D, radial_superposition
+
     p = ParticleModel(total_energy=params["e_total"])
-    convention = _CONVENTIONS[params["convention"]]
+    convention = KineticConvention[params["convention"].upper()]
     k_hi = _band(p, 0.0, convention, "").k_hi
     # the flat ball's density peaks at the origin; twice its amplitude, headroom for quadrature
     # rounding, must still square in a double
@@ -478,6 +466,17 @@ def _run_collapse(params: dict, seed: int) -> ScenarioResult:
 
 
 def _run_well(params: dict, seed: int) -> ScenarioResult:
+    from .ensemble import ParticleModel
+    from .numerics import Grid1D, integrate_real
+    from .squarewell import (
+        WellConfig,
+        density_parity,
+        member_pairing,
+        pair_member,
+        resonant_members,
+        well_ensemble_density,
+    )
+
     cfg = WellConfig(
         ParticleModel(total_energy=params["e_total"]),
         v0=params["v0"],
@@ -517,6 +516,8 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
 
 
 def _run_eraser(params: dict, seed: int) -> ScenarioResult:
+    from .optics import formalism_agreement, route_proportionality, visibility_targets
+
     report = formalism_agreement(
         n_phases=params["n_phases"],
         e_amp=params["e_amp"],
@@ -531,12 +532,14 @@ def _run_eraser(params: dict, seed: int) -> ScenarioResult:
         res.outputs[f"visibility_fields[{stage}]"] = _q(report.field_visibility[stage], "dimensionless")
         res.outputs[f"visibility_state[{stage}]"] = _q(report.state_visibility[stage], "dimensionless")
     res.outputs["route_constant"] = _q(report.constant, "dimensionless")
-    res.oracle_deltas["visibility_targets"] = optics.visibility_targets(report)
-    res.oracle_deltas["route_proportionality"] = optics.route_proportionality(report)
+    res.oracle_deltas["visibility_targets"] = visibility_targets(report)
+    res.oracle_deltas["route_proportionality"] = route_proportionality(report)
     return res
 
 
 def _run_bomb(params: dict, seed: int) -> ScenarioResult:
+    from .optics import MZConfig, count_deviation, efficiency_account, mz_probabilities
+
     if seed < 0:
         raise _CliError(f"--seed must be at least 0, got {seed}")
     cfg = MZConfig(
@@ -570,7 +573,7 @@ def _run_bomb(params: dict, seed: int) -> ScenarioResult:
         1e-15,
         "absolute",
     )
-    res.oracle_deltas["count_deviation_sigma"] = optics.count_deviation(ledger)
+    res.oracle_deltas["count_deviation_sigma"] = count_deviation(ledger)
     res.notes.append(
         "count guard band is 4 sigma so reseeded runs rarely trip it; the 3 sigma "
         "requirement at the default seed is enforced by selftest"
@@ -669,12 +672,20 @@ def _run_scenario(name: str, args) -> int:
 
 
 def _run_selftest(timings: bool = False) -> int:
+    # numpy.random is loaded here, not inside the first check that draws, so no check's time carries it
+    start = time.perf_counter()
+    import numpy.random  # noqa: F401
+
+    from .acceptance import run_checks
+
+    imports = time.perf_counter() - start
     results = run_checks()
     for res in results:
         print(res.line)
     failed = sum(not r.passed for r in results)
     print(f"selftest: {len(results)} checks, {len(results) - failed} passed, {failed} failed")
     if timings:
+        print(f"time imports: {imports:.6f} s")
         for res in results:
             print(f"time {res.name}: {res.seconds:.6f} s")
     return 2 if failed else 0

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .numerics import ArrayF
+from . import DEFAULT_SEED
 
-DEFAULT_SEED = 12345
+if TYPE_CHECKING:
+    from .numerics import ArrayF
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])

@@ -16,11 +16,10 @@ reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .ensemble import ParticleModel
 from .numerics import (
     ArrayF,
     Grid1D,
@@ -30,6 +29,9 @@ from .numerics import (
     integrate_real,
     integrate_weighted,
 )
+
+if TYPE_CHECKING:
+    from .ensemble import ParticleModel
 
 
 class ResonantMemberError(ValueError):

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .ensemble import ParticleModel
 from .numerics import (
     ArrayC,
     ArrayF,
@@ -31,6 +30,9 @@ from .numerics import (
     _simpson_rule,
     _synthesize,
 )
+
+if TYPE_CHECKING:
+    from .ensemble import ParticleModel
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ pass/fail line per criterion; the check's own detail string is printed and
 attached to any failure.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,4 +107,55 @@ def test_scaled_decaying_tail_fails_its_shape_check(monkeypatch):
     profile = acceptance.potential_wavefunction
     monkeypatch.setattr(acceptance, "potential_wavefunction", lambda *a, **kw: profile(*a, **kw) * (1.0 + 1e-6))
     (result,) = run_checks(["decaying_tail_shape"])
+    assert not result.passed, result.line
+
+
+def _scaled(fn, factor):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * factor
+
+
+def _later_carrier(propagate):
+    # the packet at t > 0 moves with a carrier 1e-8 faster, so its centroid lands 1e-8 too far
+    def moved(packet, t, grid, **kwargs):
+        return propagate(dataclasses.replace(packet, k0=packet.k0 * (1.0 + 1e-8)) if t else packet, t, grid, **kwargs)
+
+    return moved
+
+
+def _later_gain(propagate):
+    # the packet at t > 0 carries 1e-8 more norm
+    def gained(packet, t, grid, **kwargs):
+        return propagate(packet, t, grid, **kwargs) * (np.sqrt(1.0 + 1e-8) if t else 1.0)
+
+    return gained
+
+
+def _scaled_curvature(quantum_potential):
+    def scaled(*args, **kwargs):
+        res = quantum_potential(*args, **kwargs)
+        return res._replace(values=res.values * (1.0 + 1e-7))
+
+    return scaled
+
+
+@pytest.mark.parametrize(
+    "name,attr,perturb,quantity,old_tol,tol",
+    [
+        ("uncertainty_floor", "uncertainty_product", lambda f: _scaled(f, 1.0 + 1e-6), "gaussian product deviates",
+         1e-3, 1e-11),
+        ("packet_norm_transport", "propagate", _later_gain, "norm drift", 1e-6, 5e-11),
+        ("packet_norm_transport", "propagate", _later_carrier, "centroid error", 1e-6, 5e-11),
+        ("bound_state_normalization", "normalization_audit", lambda f: _scaled(f, 1.0 + 1e-8),
+         "bound member ratio deviates", 1e-6, 1e-9),
+        ("quantum_potential_mask", "quantum_potential", _scaled_curvature, "rational error", 1e-6, 1e-8),
+    ],
+    ids=["gaussian_product", "norm_drift", "centroid_error", "bound_member_ratio", "rational_error"],
+)
+def test_error_inside_the_old_tolerance_fails(name, attr, perturb, quantity, old_tol, tol, monkeypatch):
+    # each tolerance sits within 10^3 of what the check observes, so an error its looser
+    # predecessor admitted is now a failure
+    monkeypatch.setattr(acceptance, attr, perturb(getattr(acceptance, attr)))
+    (result,) = run_checks([name])
+    value = float(result.detail.split(f"{quantity} ", 1)[1].split(" ", 1)[0].rstrip(","))
+    assert tol < value <= old_tol, result.line
     assert not result.passed, result.line

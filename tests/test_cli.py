@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qensemble
-from qensemble import cli, ensemble, optics, wavepacket
+from qensemble import cli, ensemble, optics, squarewell, wavepacket
 from qensemble.cli import (
     RUNNERS,
     SCENARIO_PARAMS,
@@ -260,10 +260,12 @@ class TestScenarioRuns:
 
     @pytest.mark.parametrize("x_max", ["25", "-2.7"])
     def test_gaussian_offset_density_exits_two(self, x_max, capsys, tmp_path, monkeypatch):
-        def perturbed(*args, **kwargs):
-            return wavepacket.propagate(*args, **kwargs) * np.sqrt(1.0 + 2e-4)
+        propagate = wavepacket.propagate
 
-        monkeypatch.setattr(cli, "propagate", perturbed)
+        def perturbed(*args, **kwargs):
+            return propagate(*args, **kwargs) * np.sqrt(1.0 + 2e-4)
+
+        monkeypatch.setattr(wavepacket, "propagate", perturbed)
         argv = ["spread", "--set", "packet=gaussian", "--set", f"x_max={x_max}", "--set", "n_x=1912"]
         code, stdout, _ = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
         assert code == 2
@@ -696,7 +698,7 @@ class TestScaledOracles:
                 field_visibility={**report.field_visibility, "baseline": visibility(curve)},
             )
 
-        monkeypatch.setattr(cli, "formalism_agreement", perturbed)
+        monkeypatch.setattr(optics, "formalism_agreement", perturbed)
         code, stdout, _ = run(["eraser", "--set", f"n_phases={n_phases}", "--out", str(tmp_path / "e.csv")], capsys)
         assert code == 2
         assert not json.loads(stdout)["oracle_deltas"]["visibility_targets"]["within"]
@@ -715,7 +717,7 @@ class TestScaledOracles:
             member = pair_member(*args, **kwargs)
             return member._replace(k2=member.k2 * (1.0 + 1e-9))
 
-        monkeypatch.setattr(cli, "pair_member", perturbed)
+        monkeypatch.setattr(squarewell, "pair_member", perturbed)
         code, stdout, _ = run(["well", "--set", f"v0={v0}", "--out", str(tmp_path / "w.csv")], capsys)
         assert code == 2
         assert not json.loads(stdout)["oracle_deltas"]["member_pairing"]["within"]
@@ -756,7 +758,7 @@ class TestWellParity:
             odd = 1e-8 * profile.values.max() * grid.points() / grid.x_max
             return profile._replace(values=profile.values + odd)
 
-        monkeypatch.setattr(cli, "well_ensemble_density", perturbed)
+        monkeypatch.setattr(squarewell, "well_ensemble_density", perturbed)
         argv = ["well", "--set", f"x_min=-{half_width}", "--set", f"x_max={half_width}", "--out", str(tmp_path / "w.csv")]
         code, stdout, _ = run(argv, capsys)
         assert code == 2
@@ -769,7 +771,7 @@ class TestWellParity:
             x = grid.points()
             return profile._replace(values=profile.values + 1e-8 * x * np.exp(-x * x))
 
-        monkeypatch.setattr(cli, "well_ensemble_density", perturbed)
+        monkeypatch.setattr(squarewell, "well_ensemble_density", perturbed)
         argv = ["well", "--set", f"x_min={x_min}", "--out", str(tmp_path / "w.csv")]
         code, stdout, _ = run(argv, capsys)
         assert code == 2
@@ -819,6 +821,49 @@ def test_cli_import_leaves_out_logging():
         [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+_PARSER_ONLY = {"qensemble", "qensemble.cli"}
+_RADIAL = _PARSER_ONLY | {"qensemble.numerics", "qensemble.ensemble"}
+_OPTICS = _PARSER_ONLY | {"qensemble.optics"}
+
+
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [
+        (None, _PARSER_ONLY),
+        (["--help"], _PARSER_ONLY),
+        ([], _PARSER_ONLY),
+        (["nosuch"], _PARSER_ONLY),
+        (["ensemble", "--set", "nosuch=1"], _PARSER_ONLY),
+        (["ensemble", *CHEAP_ARGS["ensemble"]], _RADIAL),
+        (["collapse"], _RADIAL),
+        (["spread"], _PARSER_ONLY | {"qensemble.numerics", "qensemble.wavepacket"}),
+        (["well"], _RADIAL | {"qensemble.squarewell"}),
+        (["eraser"], _OPTICS),
+        (["bomb"], _OPTICS | {"numpy.random"}),
+        (["selftest"], _RADIAL | {"qensemble.squarewell", "qensemble.wavepacket", "qensemble.optics",
+                                  "qensemble.acceptance", "numpy.random"}),
+    ],
+)
+def test_command_loads_only_its_own_modules(argv, loaded, tmp_path):
+    # each runner imports what it calls when it runs; numpy.random is for the Monte Carlo draws alone
+    src = os.path.dirname(os.path.dirname(qensemble.__file__))
+    call = "" if argv is None else (
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    cli.main(sys.argv[1:])\n"
+    )
+    code = (
+        "import sys, qensemble.cli as cli\n" + call +
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'qensemble' or m == 'numpy.random'))"
+    )
+    out = ["--out", "t.csv"] if argv and argv[0] in RUNNERS else []
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(argv or []), *out], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"{sorted(loaded)}\n"), proc.stderr
 
 
 def test_cli_import_builds_no_parser():
@@ -873,10 +918,10 @@ class TestSelftest:
         assert code == 0
         lines = timed.splitlines()
         assert lines[:21] == plain.splitlines()
-        assert len(lines) == 41
-        for result, line in zip(results, lines[21:]):
+        assert len(lines) == 42 and [line for line in lines if line.startswith("time ")] == lines[21:]
+        for name, line in zip(["imports"] + [r.name for r in results], lines[21:]):
             prefix, seconds, unit = line.rsplit(" ", 2)
-            assert prefix == f"time {result.name}:" and unit == "s" and float(seconds) >= 0.0
+            assert prefix == f"time {name}:" and unit == "s" and float(seconds) >= 0.0
 
     def test_module_entry_point_matches_in_process_call(self, capsys):
         code, out, _ = run(["selftest"], capsys)
