@@ -169,6 +169,9 @@ def check_bound_state_normalization() -> tuple[bool, str]:
     f_lo = bound_state_residual(cfg, lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # a midpoint equal to an end is a fixed point: no later step moves lo or hi
+        if mid == lo or mid == hi:
+            break
         f_mid = bound_state_residual(cfg, mid)
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid

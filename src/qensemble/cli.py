@@ -251,8 +251,9 @@ def _column_cells(name: str, values, quote: Callable[[str], str]):
         spec, alike = "%d", arr.size and (arr == arr[0]).all()
     elif arr.dtype.kind == "U":
         # the given strings, not the array's, which drop trailing NULs
-        spec, arr = "%s", list(map(quote, values))
-        alike = arr and arr.count(arr[0]) == len(arr)
+        quoted = list(map(quote, values))
+        spec, arr = "%s", np.array(quoted, dtype=object)
+        alike = quoted and quoted.count(quoted[0]) == len(quoted)
     else:
         raise _CliError(f"cannot serialize column '{name}' of dtype {arr.dtype}")
     if alike:
@@ -260,8 +261,13 @@ def _column_cells(name: str, values, quote: Callable[[str], str]):
     return spec, arr
 
 
-def _render_table(fmt: str, result: ScenarioResult, scenario: str, params: dict) -> list[str]:
-    """The table as parts to write in order: the JSON head, rows and tail, or the CSV header and body."""
+# Rows per chunk of _write_table: each chunk's cells, template and text stay near a
+# hundred kilobytes whatever the table's length, and reuse the memory the last chunk freed.
+_ROW_CHUNK = 1024
+
+
+def _write_table(path: str, fmt: str, result: ScenarioResult, scenario: str, params: dict) -> None:
+    """Check the whole table, then write it in chunks of _ROW_CHUNK rows: a failed check leaves no file."""
     names, units, _ = zip(*result.columns)
     length = len(result.columns[0][2])
     for name, _, values in result.columns:
@@ -269,36 +275,38 @@ def _render_table(fmt: str, result: ScenarioResult, scenario: str, params: dict)
             raise _CliError(f"column '{name}' length differs from the first column")
     quote = json.dumps if fmt == "json" else functools.partial(_csv_field, alone=len(names) == 1)
     # a column whose cells all print alike is literal text in the row template; each other column
-    # adds one conversion, and only its cells, interleaved row-major, fill the whole-table template
+    # adds one conversion, and only its cells, interleaved row-major, fill a chunk's template
     specs, varying = [], []
     for name, _, values in result.columns:
-        spec, cells = _column_cells(name, values, quote)
+        spec, varied = _column_cells(name, values, quote)
         specs.append(spec)
-        if cells is not None:
-            varying.append(cells)
-    table = np.empty((length, len(varying)), dtype=object)
-    for j, column in enumerate(varying):
-        table[:, j] = column
-    cells = tuple(table.ravel().tolist())
+        if varied is not None:
+            varying.append(varied)
     if fmt == "csv":
-        header = ",".join(_csv_field(f"{n} ({u})") for n, u in zip(names, units)) + "\n"
-        return [header, (",".join(specs) + "\n") * length % cells]
-    # each row is a list at indent 2 inside "rows" at indent 1, as _json_fragment lays it out
-    row = "[\n      " + ",\n      ".join(specs) + "\n    ]"
-    rows = ("[\n    " + ",\n    ".join([row] * length) + "\n  ]") % cells if length else "[]"
-    columns = [{"name": n, "unit": u} for n, u in zip(names, units)]
-    payload = {"schema_version": 1, "scenario": scenario, "params": params, "columns": columns, "rows": []}
-    # "rows" comes last, so the encoder's last "[]" is its place in the document
-    head, tail = _dump_json(payload).rsplit("[]", 1)
-    return [head, rows, tail]
-
-
-def _write_table(path: str, fmt: str, result: ScenarioResult, scenario: str, params: dict) -> None:
-    # rendered in full first, so a value that cannot be written leaves no file
-    parts = _render_table(fmt, result, scenario, params)
+        head = ",".join(_csv_field(f"{n} ({u})") for n, u in zip(names, units)) + "\n"
+        row, tail = ",".join(specs) + "\n", ""
+    else:
+        # each row is a list at indent 2 inside "rows" at indent 1, as _json_fragment lays it out;
+        # every row leads with its separator, which the first row drops
+        row = ",\n    [\n      " + ",\n      ".join(specs) + "\n    ]"
+        columns = [{"name": n, "unit": u} for n, u in zip(names, units)]
+        payload = {"schema_version": 1, "scenario": scenario, "params": params, "columns": columns, "rows": []}
+        # "rows" comes last, so the encoder's last "[]" is its place in the document
+        head, tail = _dump_json(payload).rsplit("[]", 1)
+        head, tail = head + "[", ("\n  ]" if length else "]") + tail
+    # one chunk's template and its cells, row-major, as Python objects: reused by every chunk
+    template = row * min(length, _ROW_CHUNK)
+    cells = np.empty((min(length, _ROW_CHUNK), len(varying)), dtype=object)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(parts)
+            fh.write(head)
+            for lo in range(0, length, _ROW_CHUNK):
+                n = min(_ROW_CHUNK, length - lo)
+                for j, column in enumerate(varying):
+                    cells[:n, j] = column[lo : lo + n]
+                text = template[: n * len(row)] % tuple(cells[:n].ravel().tolist())
+                fh.write(text[1:] if lo == 0 and fmt == "json" else text)
+            fh.write(tail)
     except OSError as exc:
         raise _CliError(f"cannot write table {path}: {exc}") from exc
 
@@ -397,7 +405,7 @@ def _run_spread(params: dict, seed: int) -> ScenarioResult:
         for t in times:
             dens = np.abs(propagate(mode, t, grid)) ** 2
             worst = max(worst, float(np.abs(dens - 1.0).max()))
-            res.columns.append((f"density_single_mode[t={t:g}]", "1/length", np.ones(x.size)))
+            res.columns.append((f"density_single_mode[t={t:g}]", "1/length", np.broadcast_to(1.0, x.shape)))
         res.oracle_deltas["single_mode_unit_density"] = (worst, 1e-12, "absolute")
         res.notes.append(
             "single-mode columns carry the exact unit density; the propagated field is compared "
@@ -470,6 +478,7 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
     from .numerics import Grid1D, integrate_real
     from .squarewell import (
         WellConfig,
+        _amplitude_overflow,
         density_parity,
         member_pairing,
         pair_member,
@@ -482,6 +491,12 @@ def _run_well(params: dict, seed: int) -> ScenarioResult:
         v0=params["v0"],
         x0=params["x0"],
     )
+    # every member of the pairing oracle decays at k2 >= k0', so its amplitude carries
+    # exp(k2 x0) >= exp(k0' x0): past a double there, it is refused before any quadrature
+    k2x0 = cfg.k0_prime * cfg.x0
+    with np.errstate(over="ignore"):
+        if np.isinf(np.exp(k2x0)):
+            raise _amplitude_overflow(cfg, k2x0)
     grid = Grid1D(params["x_min"], params["x_max"], params["n_x"])
     n_k, tol = params["n_k"], params["resonance_tol"]
     profile = well_ensemble_density(cfg, grid, n_k=n_k, resonance_tol=tol)
@@ -706,7 +721,8 @@ def main(argv=None) -> int:
         print(f"qensemble {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # the table is rendered in full before its file is opened, so nothing is written
+        # every node-count array is built, and every table check run, before the table file is
+        # opened; the rows then go out in chunks of bounded size, so such a failure wrote nothing
         reason = str(exc) or "out of memory"
         print(f"qensemble {args.command}: error: {reason}; lower the node counts", file=sys.stderr)
         return 1

@@ -90,12 +90,17 @@ def member_amplitude_well(cfg: WellConfig, k1, k2):
         raise ValueError("decay constant k2 must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore"):
         amp = np.sqrt(m * k2 / (1.0 + k2 * x0)) * np.exp(k2 * x0) * np.cos(k1 * x0)
-    if not np.all(np.isfinite(amp)):
-        raise ValueError(
-            f"member amplitude overflows at k2 x0 = {np.max(k2 * x0):.6g}: well depth "
-            f"v0 = {cfg.v0:g} is too deep for half width x0 = {x0:g}"
-        )
+        if not np.all(np.isfinite(amp)):
+            raise _amplitude_overflow(cfg, np.max(k2 * x0))
     return amp
+
+
+def _amplitude_overflow(cfg: WellConfig, k2x0: float) -> ValueError:
+    """The error for member amplitudes past a double, naming their largest k2 x0 unless it overflows too."""
+    at = f"at k2 x0 = {k2x0:.6g}" if np.isfinite(k2x0) else "as k2 x0 itself overflows a double"
+    return ValueError(
+        f"member amplitude overflows {at}: well depth v0 = {cfg.v0:g} is too deep for half width x0 = {cfg.x0:g}"
+    )
 
 
 def _paired_wavenumber(cfg: WellConfig, k):
@@ -155,15 +160,21 @@ def member_wavefunction(member: WellMember, cfg: WellConfig, x) -> ArrayF:
     over x: the result has shape np.shape(member.k1) + np.shape(x).
     """
     x_arr = np.asarray(x, dtype=np.float64)
-    lead = np.shape(member.k1) + (1,) * x_arr.ndim
+    # each branch is evaluated on its own nodes only, x_arr[mask], which come out flat, so the
+    # member fields take one trailing axis; a nan x falls to the left branch, as nan > 0 fails
+    lead = np.shape(member.k1) + (1,)
     k1, k2, chi0 = (np.reshape(v, lead) for v in (member.k1, member.k2, member.chi0))
     x0 = cfg.x0
+    inner = np.abs(x_arr) <= x0
+    right = ~inner & (x_arr > 0.0)
+    out = np.empty(np.shape(member.k1) + x_arr.shape)
     # grouping the cosine ratio keeps the wall nodes bitwise equal to the
     # outer branch: cos(k1 x0)/cos(k1 x0) is exactly 1.0
-    inside = chi0 * np.exp(-k2 * x0) * (np.cos(k1 * x_arr) / np.cos(k1 * x0))
-    right = chi0 * np.exp(-k2 * x_arr)
-    left = chi0 * np.exp(k2 * x_arr)
-    return np.where(np.abs(x_arr) <= x0, inside, np.where(x_arr > 0.0, right, left))
+    out[..., inner] = chi0 * np.exp(-k2 * x0) * (np.cos(k1 * x_arr[inner]) / np.cos(k1 * x0))
+    out[..., right] = chi0 * np.exp(-k2 * x_arr[right])
+    left = ~(inner | right)
+    out[..., left] = chi0 * np.exp(k2 * x_arr[left])
+    return out
 
 
 def bound_state_residual(cfg: WellConfig, k1: float) -> float:

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qensemble import acceptance, cli, wavepacket
+from qensemble import acceptance, cli, squarewell, wavepacket
 from qensemble.acceptance import (
     ALL_CHECKS,
     CRITERION_CHECKS,
@@ -159,3 +159,18 @@ def test_error_inside_the_old_tolerance_fails(name, attr, perturb, quantity, old
     value = float(result.detail.split(f"{quantity} ", 1)[1].split(" ", 1)[0].rstrip(","))
     assert tol < value <= old_tol, result.line
     assert not result.passed, result.line
+
+
+def test_bound_state_bisection_stops_at_its_fixed_point(monkeypatch):
+    # once the midpoint of [1, 1.2] equals an end no step can move either end, which takes 50
+    # halvings; the 150 residuals a 200-step loop would add change nothing
+    calls = []
+
+    def counted(cfg, k1):
+        calls.append(k1)
+        return squarewell.bound_state_residual(cfg, k1)
+
+    monkeypatch.setattr(acceptance, "bound_state_residual", counted)
+    (result,) = run_checks(["bound_state_normalization"])
+    assert result.passed, result.line
+    assert len(calls) == 1 + 50

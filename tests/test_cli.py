@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from qensemble.cli import (
     ScenarioResult,
     _CliError,
     _dump_json,
-    _render_table,
     _write_table,
     main,
 )
@@ -104,6 +104,18 @@ class TestValidationPaths:
         assert "Traceback" not in err
         assert stdout == ""
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_overflowing_well_is_refused_in_one_line_without_warnings(self, capsys, tmp_path):
+        # k0' x0 = 1.7e308 is finite, but exp of it is not: refused before any quadrature
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run(["well", "--set", "x0=1e308", "--out", str(tmp_path / "t.csv")], capsys)
+        assert (code, stdout, caught) == (1, "", [])
+        assert err == (
+            "qensemble well: error: member amplitude overflows at k2 x0 = 1.73205e+308: "
+            "well depth v0 = 4 is too deep for half width x0 = 1e+308\n"
+        )
+        assert not (tmp_path / "t.csv").exists()
 
     def test_invalid_geometry(self, capsys, tmp_path):
         code, _, err = run(
@@ -483,6 +495,13 @@ def _json_reference(result, scenario, params):
     )
 
 
+def _written(fmt, result, scenario, params, path):
+    """The text _write_table writes to `path`."""
+    _write_table(str(path), fmt, result, scenario, params)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 def _edge_result():
     columns = [
         ("value", "length", np.array([-0.0, 0.0, 5e-324, -1.7976931348623157e308, 0.1])),
@@ -534,7 +553,7 @@ class TestTableWriter:
         "column",
         [[1.0] * 4, [-0.0] * 4, [0.0, -0.0], [-0.0, 0.0], [0.1], [2.5, 2.5, 2.5000000000000004]],
     )
-    def test_constant_columns_match_per_cell_reference(self, column, fmt):
+    def test_constant_columns_match_per_cell_reference(self, column, fmt, tmp_path):
         n = len(column)
         columns = [
             ("x", "length", np.linspace(0.0, 1.0, n)),
@@ -542,7 +561,7 @@ class TestTableWriter:
             ("k", "count", np.full(n, 3)),
         ]
         result = ScenarioResult("none", columns, {}, {}, [])
-        text = "".join(_render_table(fmt, result, "t", {}))
+        text = _written(fmt, result, "t", {}, tmp_path / "t")
         assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {}))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -557,11 +576,68 @@ class TestTableWriter:
         ],
         ids=["percent-label", "constant-int", "csv-quoted-label", "no-varying-column", "lone-empty-label"],
     )
-    def test_constant_text_columns_match_per_cell_reference(self, columns, fmt):
+    def test_constant_text_columns_match_per_cell_reference(self, columns, fmt, tmp_path):
         # a constant column is literal template text, so each % in it must reach the file once
         result = ScenarioResult("none", columns, {}, {}, [])
-        text = "".join(_render_table(fmt, result, "t", {"note": "100%"}))
+        text = _written(fmt, result, "t", {"note": "100%"}, tmp_path / "t")
         assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {"note": "100%"}))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "chunks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)], ids=["0", "1", "C-1", "C", "C+1", "2C+1"]
+    )
+    def test_chunk_boundaries_match_per_cell_reference(self, chunks, extra, fmt, tmp_path):
+        # C is the writer's own chunk length, so each table ends just before, on or after a chunk's end
+        n = chunks * cli._ROW_CHUNK + extra
+        columns = [
+            ("x", "length", np.linspace(-1.0, 1.0, n)),
+            ("rho", "1/length", np.full(n, 0.1)),
+            ("k", "count", np.arange(n) - 3),
+            ("say", "label", [f'"{i}", then {i % 7}' for i in range(n)]),
+            ("tag", "label", ["100%, %s"] * n),
+        ]
+        result = ScenarioResult("none", columns, {}, {}, [])
+        text = _written(fmt, result, "t", {"note": "%d%%"}, tmp_path / "t")
+        assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {"note": "%d%%"}))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_cell_in_the_last_chunk_leaves_no_file(self, fmt, tmp_path):
+        y = np.ones(2 * cli._ROW_CHUNK + 1)
+        y[-1] = np.inf
+        result = ScenarioResult("none", [("x", "length", np.arange(y.size)), ("y", "length", y)], {}, {}, [])
+        out = tmp_path / f"t.{fmt}"
+        with pytest.raises(_CliError, match="non-finite value inf in column 'y'"):
+            _write_table(str(out), fmt, result, "t", {})
+        assert not out.exists()
+
+    def test_working_set_does_not_grow_with_the_table(self, tmp_path):
+        # each chunk's cells and text are freed before the next, so the peak stays near one chunk's;
+        # a writer that renders the whole table first peaks near 26 MiB here
+        x = np.linspace(0.0, 1.0, 200001)
+        result = ScenarioResult("none", [("x", "length", x), ("y", "length", np.sin(x))], {}, {}, [])
+        tracemalloc.start()
+        try:
+            _write_table(str(tmp_path / "t.csv"), "csv", result, "t", {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [["eraser", "--set", "n_phases=3"], ["spread", "--set", "packet=single_mode", "--set", "n_x=40001"]],
+        ids=["fails-at-close", "fails-partway"],
+    )
+    def test_full_device_exits_1_without_traceback(self, argv):
+        # a table smaller than the file buffer meets ENOSPC when it is closed, a larger one partway
+        src = os.path.dirname(os.path.dirname(qensemble.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qensemble", *argv, "--out", "/dev/full"], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        message = f"qensemble {argv[0]}: error: cannot write table /dev/full: [Errno 28] No space left on device\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
 
 # finite doubles from any bit pattern, subnormals from the low 52 bits of either sign
@@ -597,7 +673,7 @@ def _tables(draw):
 
 
 class TestRendererProperty:
-    def test_render_matches_per_cell_reference(self):
+    def test_render_matches_per_cell_reference(self, tmp_path):
         lone_empty = ScenarioResult("none", [("label", "label", [""])], {}, {}, [])
 
         @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -605,7 +681,7 @@ class TestRendererProperty:
         @example(result=lone_empty, fmt="csv")
         @example(result=lone_empty, fmt="json")
         def check(result, fmt):
-            text = "".join(_render_table(fmt, result, "t", {"scale": [-0.0, 2.5]}))
+            text = _written(fmt, result, "t", {"scale": [-0.0, 2.5]}, tmp_path / "t")
             if fmt == "csv":
                 assert text == _csv_reference(result)
             else:

@@ -1,6 +1,7 @@
 """Finite rectangular well: member pairing, wall matching and densities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ class TestPairMember:
         # k2 x0 near 1000 puts exp(k2 x0) past the float range
         with pytest.raises(ValueError, match="v0 = 1e\\+06"):
             pair_member(default_config(v0=1e6), 0.5)
+
+    def test_overflowing_decay_exponent_rejected_without_warnings(self):
+        # k2 x0 itself is past a double, so the message says so rather than naming inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows as k2 x0 itself overflows a double: well depth v0 = 4 "):
+                pair_member(default_config(x0=1e308), np.array([0.5]))
 
     @pytest.mark.parametrize("seed,count", [(7, 100), (11, 200)])
     def test_array_equals_per_entry_calls(self, seed, count):
@@ -160,6 +168,29 @@ class TestMemberWavefunction:
         member = pair_member(cfg, 0.6)
         assert member_wavefunction(member, cfg, np.zeros((3, 4))).shape == (3, 4)
         assert member_wavefunction(member, cfg, 0.5).shape == ()
+
+    @pytest.mark.parametrize("members", ["scalar", "array"])
+    def test_branches_on_their_own_nodes_match_the_three_branch_formula(self, members):
+        # every branch evaluated everywhere and picked by np.where: the same bits at the walls,
+        # their neighbours, the centre and tails where exp underflows
+        cfg = default_config()
+        k1 = 0.6 if members == "scalar" else np.random.Generator(np.random.Philox(5)).uniform(0.0, cfg.k0, 1000)
+        member = pair_member(cfg, k1)
+        walls = np.array([-cfg.x0, cfg.x0])
+        x = np.concatenate(
+            [walls, np.nextafter(walls, 0.0), np.nextafter(walls, [-np.inf, np.inf]), [0.0, -0.0, -500.0, 500.0, 1e300]]
+        )
+        lead = np.shape(member.k1) + (1,)
+        k1, k2, chi0 = (np.reshape(v, lead) for v in member)
+        with np.errstate(over="ignore"):
+            inside = chi0 * np.exp(-k2 * cfg.x0) * (np.cos(k1 * x) / np.cos(k1 * cfg.x0))
+            right = chi0 * np.exp(-k2 * x)
+            left = chi0 * np.exp(k2 * x)
+        expected = np.where(np.abs(x) <= cfg.x0, inside, np.where(x > 0.0, right, left))
+        values = member_wavefunction(member, cfg, x)
+        assert values.shape == expected.shape
+        assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+        assert (values[..., -3:] == 0.0).all()
 
     def test_exterior_decay(self):
         cfg = default_config()
