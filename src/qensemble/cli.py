@@ -238,7 +238,7 @@ def _csv_field(text: str, alone: bool = False) -> str:
 
 
 def _column_cells(name: str, values, quote: Callable[[str], str]):
-    """One column's conversion and its cells, strings quoted; if all print alike, its text (`%` doubled) and None."""
+    """One column's text if all its cells print alike; else its floats, or its cells' byte slots and keep mask."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f":
         if not np.isfinite(arr).all():
@@ -246,67 +246,67 @@ def _column_cells(name: str, values, quote: Callable[[str], str]):
             raise _CliError(f"refusing to serialize non-finite value {bad} in column '{name}'")
         # alike by bit pattern: 0.0 and -0.0 compare equal but print apart
         bits = arr.view(np.uint64) if arr.dtype == np.float64 else None
-        spec, alike = "%.17g", bits is not None and bits.size and (bits == bits[0]).all()
-    elif arr.dtype.kind in "iu":
-        spec, alike = "%d", arr.size and (arr == arr[0]).all()
-    elif arr.dtype.kind == "U":
+        if bits is not None and bits.size and (bits == bits[0]).all():
+            return _fmt_float(arr[0])
+        return arr
+    if arr.dtype.kind in "iu":
+        if arr.size and (arr == arr[0]).all():
+            return str(arr[0])
+        cells = arr.astype("S")
+        slots = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
+        return slots, slots != 0
+    if arr.dtype.kind == "U":
         # the given strings, not the array's, which drop trailing NULs
-        quoted = list(map(quote, values))
-        spec, arr = "%s", np.array(quoted, dtype=object)
-        alike = quoted and quoted.count(quoted[0]) == len(quoted)
-    else:
-        raise _CliError(f"cannot serialize column '{name}' of dtype {arr.dtype}")
-    if alike:
-        return (spec % arr[0]).replace("%", "%%"), None
-    return spec, arr
-
-
-# Rows per chunk of _write_table: each chunk's cells, template and text stay near a
-# hundred kilobytes whatever the table's length, and reuse the memory the last chunk freed.
-_ROW_CHUNK = 1024
+        quoted = [quote(v).encode() for v in values]
+        if quoted and quoted.count(quoted[0]) == len(quoted):
+            return quoted[0].decode()
+        cells = np.array(quoted, dtype=bytes)
+        slots = cells.view(np.uint8).reshape(cells.size, cells.itemsize)
+        return slots, np.arange(cells.itemsize) < np.array(list(map(len, quoted)))[:, None]
+    raise _CliError(f"cannot serialize column '{name}' of dtype {arr.dtype}")
 
 
 def _write_table(path: str, fmt: str, result: ScenarioResult, scenario: str, params: dict) -> None:
-    """Check the whole table, then write it in chunks of _ROW_CHUNK rows: a failed check leaves no file."""
+    """Check the whole table, then write it in chunks of rows: a failed check leaves no file."""
+    from .text import rows
+
     names, units, _ = zip(*result.columns)
     length = len(result.columns[0][2])
     for name, _, values in result.columns:
         if len(values) != length:
             raise _CliError(f"column '{name}' length differs from the first column")
     quote = json.dumps if fmt == "json" else functools.partial(_csv_field, alone=len(names) == 1)
-    # a column whose cells all print alike is literal text in the row template; each other column
-    # adds one conversion, and only its cells, interleaved row-major, fill a chunk's template
-    specs, varying = [], []
-    for name, _, values in result.columns:
-        spec, varied = _column_cells(name, values, quote)
-        specs.append(spec)
-        if varied is not None:
-            varying.append(varied)
     if fmt == "csv":
-        head = ",".join(_csv_field(f"{n} ({u})") for n, u in zip(names, units)) + "\n"
-        row, tail = ",".join(specs) + "\n", ""
+        head, tail = ",".join(_csv_field(f"{n} ({u})") for n, u in zip(names, units)) + "\n", ""
+        seps = [""] + [","] * (len(names) - 1) + ["\n"]
     else:
-        # each row is a list at indent 2 inside "rows" at indent 1, as _json_fragment lays it out;
-        # every row leads with its separator, which the first row drops
-        row = ",\n    [\n      " + ",\n      ".join(specs) + "\n    ]"
         columns = [{"name": n, "unit": u} for n, u in zip(names, units)]
         payload = {"schema_version": 1, "scenario": scenario, "params": params, "columns": columns, "rows": []}
         # "rows" comes last, so the encoder's last "[]" is its place in the document
         head, tail = _dump_json(payload).rsplit("[]", 1)
         head, tail = head + "[", ("\n  ]" if length else "]") + tail
-    # one chunk's template and its cells, row-major, as Python objects: reused by every chunk
-    template = row * min(length, _ROW_CHUNK)
-    cells = np.empty((min(length, _ROW_CHUNK), len(varying)), dtype=object)
+        # each row is a list at indent 2 inside "rows" at indent 1, as _json_fragment lays it out;
+        # every row leads with its separator, which the first row drops
+        seps = [",\n    [\n      "] + [",\n      "] * (len(names) - 1) + ["\n    ]"]
+    # a row is literal text between the columns whose cells vary; a column that prints alike is text
+    texts, varying, text = [], [], seps[0]
+    for (name, _, values), sep in zip(result.columns, seps[1:]):
+        cells = _column_cells(name, values, quote)
+        if isinstance(cells, str):
+            text += cells + sep
+        else:
+            texts.append(text.encode())
+            varying.append(cells)
+            text = sep
+    texts.append(text.encode())
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(head)
-            for lo in range(0, length, _ROW_CHUNK):
-                n = min(_ROW_CHUNK, length - lo)
-                for j, column in enumerate(varying):
-                    cells[:n, j] = column[lo : lo + n]
-                text = template[: n * len(row)] % tuple(cells[:n].ravel().tolist())
-                fh.write(text[1:] if lo == 0 and fmt == "json" else text)
-            fh.write(tail)
+        with open(path, "wb") as fh:
+            fh.write(head.encode())
+            first = fmt == "json"
+            for chunk in rows(texts, varying, length):
+                fh.write(chunk[1:] if first else chunk)
+                first = False
+            fh.write(tail.encode())
     except OSError as exc:
         raise _CliError(f"cannot write table {path}: {exc}") from exc
 

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qensemble import acceptance, cli, squarewell, wavepacket
+from qensemble import acceptance, cli, numerics, squarewell, wavepacket
 from qensemble.acceptance import (
     ALL_CHECKS,
     CRITERION_CHECKS,
@@ -107,6 +107,13 @@ def test_scaled_decaying_tail_fails_its_shape_check(monkeypatch):
     profile = acceptance.potential_wavefunction
     monkeypatch.setattr(acceptance, "potential_wavefunction", lambda *a, **kw: profile(*a, **kw) * (1.0 + 1e-6))
     (result,) = run_checks(["decaying_tail_shape"])
+    assert not result.passed, result.line
+
+
+def test_scaled_radial_synthesis_fails_the_zero_potential_check(monkeypatch):
+    # the closed-form ball holds the profile at r > 0 to 1e-9 of its peak, so a gain of 1e-6 is a breach
+    monkeypatch.setattr(numerics, "_synthesize", _scaled(numerics._synthesize, 1.0 + 1e-6))
+    (result,) = run_checks(["zero_potential_reduction"])
     assert not result.passed, result.line
 
 

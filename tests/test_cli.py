@@ -34,6 +34,7 @@ from qensemble.cli import (
     main,
 )
 from qensemble.optics import formalism_agreement, visibility
+from qensemble.text import _CHUNK_CELLS
 from qensemble.acceptance import run_checks
 from qensemble.squarewell import pair_member, well_ensemble_density
 
@@ -577,7 +578,7 @@ class TestTableWriter:
         ids=["percent-label", "constant-int", "csv-quoted-label", "no-varying-column", "lone-empty-label"],
     )
     def test_constant_text_columns_match_per_cell_reference(self, columns, fmt, tmp_path):
-        # a constant column is literal template text, so each % in it must reach the file once
+        # a constant column is literal row text, so each % in it must reach the file as it is
         result = ScenarioResult("none", columns, {}, {}, [])
         text = _written(fmt, result, "t", {"note": "100%"}, tmp_path / "t")
         assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {"note": "100%"}))
@@ -587,8 +588,9 @@ class TestTableWriter:
         "chunks,extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)], ids=["0", "1", "C-1", "C", "C+1", "2C+1"]
     )
     def test_chunk_boundaries_match_per_cell_reference(self, chunks, extra, fmt, tmp_path):
-        # C is the writer's own chunk length, so each table ends just before, on or after a chunk's end
-        n = chunks * cli._ROW_CHUNK + extra
+        # C is the writer's own chunk length for one varying float column, so each table ends just
+        # before, on or after a chunk's end
+        n = chunks * _CHUNK_CELLS + extra
         columns = [
             ("x", "length", np.linspace(-1.0, 1.0, n)),
             ("rho", "1/length", np.full(n, 0.1)),
@@ -601,8 +603,23 @@ class TestTableWriter:
         assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {"note": "%d%%"}))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_floats", [2, 5])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_float_columns_across_chunk_edges_match_per_cell_reference(self, extra, n_floats, fmt, tmp_path):
+        # a chunk holds C = _CHUNK_CELLS float cells, so C // n_floats rows: one formatter call spans
+        # every float column, cut at a chunk edge; float32 cells print as the doubles they convert to
+        n = 2 * (_CHUNK_CELLS // n_floats) + extra
+        x = np.linspace(-3.0, 3.0, n)
+        columns = [("k", "count", np.arange(n) - 5), ("x", "length", x)]
+        columns += [(f"f{j}", "1", np.exp(x * j) * (-1.0) ** j) for j in range(1, n_floats - 1)]
+        columns += [("tag", "label", [f"t{i % 3}" for i in range(n)]), ("g", "1", (x * 1e-3).astype(np.float32))]
+        result = ScenarioResult("none", columns, {}, {}, [])
+        text = _written(fmt, result, "t", {}, tmp_path / "t")
+        assert text == (_csv_reference(result) if fmt == "csv" else _json_reference(result, "t", {}))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_cell_in_the_last_chunk_leaves_no_file(self, fmt, tmp_path):
-        y = np.ones(2 * cli._ROW_CHUNK + 1)
+        y = np.ones(2 * _CHUNK_CELLS + 1)
         y[-1] = np.inf
         result = ScenarioResult("none", [("x", "length", np.arange(y.size)), ("y", "length", y)], {}, {}, [])
         out = tmp_path / f"t.{fmt}"
@@ -902,6 +919,7 @@ def test_cli_import_leaves_out_logging():
 _PARSER_ONLY = {"qensemble", "qensemble.cli"}
 _RADIAL = _PARSER_ONLY | {"qensemble.numerics", "qensemble.ensemble"}
 _OPTICS = _PARSER_ONLY | {"qensemble.optics"}
+_TEXT = {"qensemble.text"}
 
 
 @pytest.mark.parametrize(
@@ -912,12 +930,12 @@ _OPTICS = _PARSER_ONLY | {"qensemble.optics"}
         ([], _PARSER_ONLY),
         (["nosuch"], _PARSER_ONLY),
         (["ensemble", "--set", "nosuch=1"], _PARSER_ONLY),
-        (["ensemble", *CHEAP_ARGS["ensemble"]], _RADIAL),
-        (["collapse"], _RADIAL),
-        (["spread"], _PARSER_ONLY | {"qensemble.numerics", "qensemble.wavepacket"}),
-        (["well"], _RADIAL | {"qensemble.squarewell"}),
-        (["eraser"], _OPTICS),
-        (["bomb"], _OPTICS | {"numpy.random"}),
+        (["ensemble", *CHEAP_ARGS["ensemble"]], _RADIAL | _TEXT),
+        (["collapse"], _RADIAL | _TEXT),
+        (["spread"], _PARSER_ONLY | _TEXT | {"qensemble.numerics", "qensemble.wavepacket"}),
+        (["well"], _RADIAL | _TEXT | {"qensemble.squarewell"}),
+        (["eraser"], _OPTICS | _TEXT),
+        (["bomb"], _OPTICS | _TEXT | {"numpy.random"}),
         (["selftest"], _RADIAL | {"qensemble.squarewell", "qensemble.wavepacket", "qensemble.optics",
                                   "qensemble.acceptance", "numpy.random"}),
     ],
